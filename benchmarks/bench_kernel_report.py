@@ -4,11 +4,7 @@ Runs the replica and binary case studies with all kernel performance
 layers enabled and disabled, recording wall time per configuration and
 the :data:`~repro.kernel.stats.KERNEL_STATS` snapshot of the enabled
 run (intern hits, per-table memo hit rates, reduction-cache hit rates).
-A second ablation toggles the NbE machine engine
-(:func:`repro.kernel.machine.set_nbe`, the ``REPRO_DISABLE_NBE``
-switch) with every cache layer left on, recording the machine's event
-counters (steps, closures, readbacks, delta unfolds avoided) for the
-engine-on run.  CI uploads the resulting JSON as an artifact and diffs
+CI uploads the resulting JSON as an artifact and diffs
 it against the committed baseline with ``check_regression.py``, so
 regressions in the caching layers fail the job instead of silently
 dropping the speedup multiplier.
@@ -31,7 +27,6 @@ import time
 from report_schema import make_report, write_report
 
 from repro.kernel.env import set_reduction_cache_default
-from repro.kernel.machine import set_nbe
 from repro.kernel.stats import KERNEL_STATS
 from repro.kernel.term import (
     clear_term_caches,
@@ -80,30 +75,9 @@ def _measure(case: str, enabled: bool) -> dict:
     return entry
 
 
-def _measure_nbe(case: str, enabled: bool) -> dict:
-    """Wall time for one case with the NbE engine on/off (caches on)."""
-    _set_layers(True)
-    previous = set_nbe(enabled)
-    try:
-        start = time.perf_counter()
-        _run_case(case)
-        elapsed = time.perf_counter() - start
-    finally:
-        set_nbe(previous)
-    entry = {
-        "count": 1,
-        "wall_time_s": round(elapsed, 4),
-        "nbe_enabled": enabled,
-    }
-    if enabled:
-        entry["machine_events"] = KERNEL_STATS.snapshot()["events"]
-    return entry
-
-
 def build_report() -> dict:
     phases: dict = {}
     speedups: dict = {}
-    nbe_speedups: dict = {}
     try:
         for case in CASES:
             on = _measure(case, True)
@@ -113,22 +87,9 @@ def build_report() -> dict:
             )
             phases[f"{case}/layers_on"] = on
             phases[f"{case}/layers_off"] = off
-        for case in CASES:
-            nbe_on = _measure_nbe(case, True)
-            nbe_off = _measure_nbe(case, False)
-            nbe_speedups[case] = round(
-                nbe_off["wall_time_s"] / max(nbe_on["wall_time_s"], 1e-9), 2
-            )
-            phases[f"{case}/nbe_on"] = nbe_on
-            phases[f"{case}/nbe_off"] = nbe_off
     finally:
         _set_layers(True)
-    return make_report(
-        "kernel performance layers",
-        phases,
-        speedups=speedups,
-        nbe_speedups=nbe_speedups,
-    )
+    return make_report("kernel performance layers", phases, speedups=speedups)
 
 
 def main(argv) -> int:
@@ -146,12 +107,6 @@ def main(argv) -> int:
             f"{case}: on {report['phases'][f'{case}/layers_on']['wall_time_s']}s, "
             f"off {report['phases'][f'{case}/layers_off']['wall_time_s']}s, "
             f"speedup {report['speedups'][case]}x"
-        )
-        print(
-            f"{case}: nbe on "
-            f"{report['phases'][f'{case}/nbe_on']['wall_time_s']}s, "
-            f"off {report['phases'][f'{case}/nbe_off']['wall_time_s']}s, "
-            f"speedup {report['nbe_speedups'][case]}x"
         )
     print(f"wrote {out_path}")
     return 0

@@ -4,16 +4,7 @@ Runs the replica, binary, and ornaments case studies with tracing
 forced on and aggregates the recorded spans into flat per-phase entries
 (``<case>/<phase>``) in the shared report schema
 (:mod:`report_schema`), so the CI regression gate can compare runs.
-The default ``<case>/*`` phases run with the NbE machine engine (the
-default); an ablation re-runs every case with ``REPRO_DISABLE_NBE``
-semantics (:func:`repro.kernel.machine.set_nbe`) under ``nbe_off/*``
-phases, and an ``nbe`` extra summarizes the repair-phase wall-time and
-``subst``-lookup ratios between the engines.  A second ablation does
-the same for the transformer fast path (``REPRO_DISABLE_TRANSFORM_FAST``
-semantics via :func:`repro.kernel.fastpath.set_transform_fast`) under
-``transform_fast_off/*`` phases with a ``transform_fast`` extra, so the
-in-run ratios carry machine-independent evidence for both engine
-switches.  Optionally also writes the full Chrome trace-event JSON
+Optionally also writes the full Chrome trace-event JSON
 (``chrome://tracing`` / Perfetto) for interactive inspection.
 
 Usage::
@@ -109,50 +100,6 @@ def check_transparency() -> None:
         )
 
 
-def check_nbe_transparency() -> None:
-    """Both reduction engines must repair to byte-identical output."""
-    from repro.kernel.machine import set_nbe
-
-    previous = set_nbe(True)
-    try:
-        with_machine = _repair_outputs()
-    finally:
-        set_nbe(previous)
-    previous = set_nbe(False)
-    try:
-        without = _repair_outputs()
-    finally:
-        set_nbe(previous)
-    if with_machine != without:
-        raise RuntimeError(
-            "repair output differs between the NbE machine and the "
-            "substitution engine — the engines must be observationally "
-            "identical"
-        )
-
-
-def check_transform_fast_transparency() -> None:
-    """Both transformer drivers must repair to byte-identical output."""
-    from repro.kernel.fastpath import set_transform_fast
-
-    previous = set_transform_fast(True)
-    try:
-        fast = _repair_outputs()
-    finally:
-        set_transform_fast(previous)
-    previous = set_transform_fast(False)
-    try:
-        legacy = _repair_outputs()
-    finally:
-        set_transform_fast(previous)
-    if fast != legacy:
-        raise RuntimeError(
-            "repair output differs between the stack-driver fast path and "
-            "the legacy recursive transformer — the drivers must be "
-            "observationally identical"
-        )
-
-
 def _run_case(name: str) -> None:
     if name == "replica":
         from repro.cases.replica import run_scenario
@@ -165,13 +112,12 @@ def _run_case(name: str) -> None:
     run_scenario()
 
 
-def _traced_case_phases(phases: dict, case: str, prefix: str) -> None:
-    """Run one case traced; record its spans under ``prefix + case``.
+def _traced_case_phases(phases: dict, case: str) -> None:
+    """Run one case traced; record its spans under ``case``.
 
     Term-level global caches are cleared first so every case starts
-    cold: the NbE ablation re-runs the same cases later in the process,
-    and warm ``lift``/``subst``/intern tables would otherwise hand the
-    second engine a head start the first one paid for.
+    cold: warm ``lift``/``subst``/intern tables left by an earlier case
+    would otherwise hand it a head start.
     """
     from repro.kernel.term import clear_term_caches
 
@@ -179,7 +125,7 @@ def _traced_case_phases(phases: dict, case: str, prefix: str) -> None:
     KERNEL_STATS.reset()
     with span(case, category="case") as case_span:
         _run_case(case)
-    phases[f"{prefix}{case}/total"] = {
+    phases[f"{case}/total"] = {
         "count": 1,
         "wall_time_s": round(case_span.duration_s, 6),
         "cache_hit_rates": {
@@ -189,126 +135,25 @@ def _traced_case_phases(phases: dict, case: str, prefix: str) -> None:
     }
     descendants = [s for s in case_span.walk() if s is not case_span]
     for phase, entry in summarize_spans(descendants).items():
-        phases[f"{prefix}{case}/{phase}"] = entry
-
-
-def _nbe_summary(phases: dict) -> dict:
-    """Engine on/off ratios for the repair phases, per case."""
-    from repro.kernel.machine import set_nbe  # noqa: F401 (doc pointer)
-
-    summary: dict = {}
-    for case in CASES:
-        on = phases.get(f"{case}/repair")
-        off = phases.get(f"nbe_off/{case}/repair")
-        if not on or not off:
-            continue
-        on_subst = on.get("cache_lookups", {}).get("subst", 0)
-        off_subst = off.get("cache_lookups", {}).get("subst", 0)
-        summary[case] = {
-            "repair_wall_on_s": on["wall_time_s"],
-            "repair_wall_off_s": off["wall_time_s"],
-            "repair_speedup": round(
-                off["wall_time_s"] / max(on["wall_time_s"], 1e-9), 2
-            ),
-            "repair_subst_lookups_on": on_subst,
-            "repair_subst_lookups_off": off_subst,
-            "repair_subst_drop": round(
-                off_subst / max(on_subst, 1), 2
-            ),
-        }
-    return summary
-
-
-def _transform_fast_summary(phases: dict) -> dict:
-    """Fast-path on/off ratios for transform and repair, per case."""
-    from repro.kernel.fastpath import set_transform_fast  # noqa: F401
-
-    summary: dict = {}
-    for case in CASES:
-        on = phases.get(f"{case}/repair")
-        off = phases.get(f"transform_fast_off/{case}/repair")
-        if not on or not off:
-            continue
-        entry = {
-            "repair_wall_on_s": on["wall_time_s"],
-            "repair_wall_off_s": off["wall_time_s"],
-            "repair_speedup": round(
-                off["wall_time_s"] / max(on["wall_time_s"], 1e-9), 2
-            ),
-        }
-        t_on = phases.get(f"{case}/transform")
-        t_off = phases.get(f"transform_fast_off/{case}/transform")
-        if t_on and t_off:
-            entry["transform_wall_on_s"] = t_on["wall_time_s"]
-            entry["transform_wall_off_s"] = t_off["wall_time_s"]
-            entry["transform_speedup"] = round(
-                t_off["wall_time_s"] / max(t_on["wall_time_s"], 1e-9), 2
-            )
-        summary[case] = entry
-    return summary
+        phases[f"{case}/{phase}"] = entry
 
 
 def build_report() -> dict:
     """Run every case traced; return the shared-schema report dict."""
-    from repro.kernel.fastpath import set_transform_fast
-    from repro.kernel.machine import set_nbe
-
     previous = set_tracing(True)
     reset_tracer()
     phases: dict = {}
     try:
         for case in CASES:
-            _traced_case_phases(phases, case, "")
-        # NbE ablation: the same cases on the substitution engine.
-        nbe_previous = set_nbe(False)
-        try:
-            for case in CASES:
-                _traced_case_phases(phases, case, "nbe_off/")
-        finally:
-            set_nbe(nbe_previous)
-        # Transformer ablation: same cases on the legacy recursive driver.
-        fast_previous = set_transform_fast(False)
-        try:
-            for case in CASES:
-                _traced_case_phases(phases, case, "transform_fast_off/")
-        finally:
-            set_transform_fast(fast_previous)
+            _traced_case_phases(phases, case)
         _analysis_phases(phases)
     finally:
         set_tracing(previous)
-    return make_report(
-        "pipeline",
-        phases,
-        nbe=_nbe_summary(phases),
-        transform_fast=_transform_fast_summary(phases),
-    )
+    return make_report("pipeline", phases)
 
 
 def print_summary(report: dict) -> None:
     phases = report["phases"]
-    for case, entry in sorted(report.get("nbe", {}).items()):
-        print(
-            f"nbe {case}: repair {entry['repair_wall_on_s']:.4f}s on / "
-            f"{entry['repair_wall_off_s']:.4f}s off "
-            f"({entry['repair_speedup']}x), subst lookups "
-            f"{entry['repair_subst_lookups_on']} / "
-            f"{entry['repair_subst_lookups_off']} "
-            f"({entry['repair_subst_drop']}x fewer)"
-        )
-    for case, entry in sorted(report.get("transform_fast", {}).items()):
-        line = (
-            f"transform_fast {case}: repair "
-            f"{entry['repair_wall_on_s']:.4f}s on / "
-            f"{entry['repair_wall_off_s']:.4f}s off "
-            f"({entry['repair_speedup']}x)"
-        )
-        if "transform_speedup" in entry:
-            line += (
-                f", transform {entry['transform_wall_on_s']:.4f}s / "
-                f"{entry['transform_wall_off_s']:.4f}s "
-                f"({entry['transform_speedup']}x)"
-            )
-        print(line)
     for case in CASES + tuple(f"analysis/{case}" for case in CASES):
         print(f"{case}:")
         names = sorted(
@@ -347,13 +192,6 @@ def main(argv) -> int:
     try:
         check_transparency()
         print("analysis transparency: repair output identical with gate on")
-        check_nbe_transparency()
-        print("engine transparency: repair output identical across engines")
-        check_transform_fast_transparency()
-        print(
-            "transformer transparency: repair output identical across "
-            "drivers"
-        )
         report = build_report()
         write_report(out_path, report)
     except Exception as exc:

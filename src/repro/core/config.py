@@ -37,8 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..kernel.context import Context
 from ..kernel.env import Environment
-from ..kernel.fastpath import transform_fast_enabled
-from ..kernel.reduce import beta_reduce, whnf
+from ..kernel.reduce import beta_reduce, beta_spine, whnf
 from ..kernel.term import (
     Const,
     Constr,
@@ -47,7 +46,6 @@ from ..kernel.term import (
     Lam,
     Term,
     mk_app,
-    subst_many,
     unfold_app,
 )
 from ..kernel.typecheck import infer
@@ -56,27 +54,15 @@ from ..kernel.typecheck import infer
 def _applied(fn: Term, args: Sequence[Term]) -> Term:
     """Apply a configuration term and beta-reduce (Figure 11, step 4).
 
-    On the fast path the head ``Lam``-spine is contracted with a single
-    parallel :func:`subst_many` before handing the remainder to
-    :func:`beta_reduce` — one arena walk instead of one substitution
-    pass per binder.  Parallel spine contraction equals the sequential
-    beta steps (each argument lives outside every contracted binder),
-    and beta normal forms are unique, so the output is identical;
-    ``REPRO_DISABLE_TRANSFORM_FAST=1`` restores the one-at-a-time path.
+    The head ``Lam``-spine is contracted by :func:`beta_spine` before
+    :func:`beta_reduce` normalizes the rest; beta normal forms are
+    unique, so the order does not change the output.
     """
     applied = mk_app(fn, args)
-    if transform_fast_enabled():
-        head, rest = unfold_app(applied)
-        if isinstance(head, Lam) and rest:
-            body = head
-            n = 0
-            while isinstance(body, Lam) and n < len(rest):
-                body = body.body
-                n += 1
-            if n > 1:
-                applied = mk_app(
-                    subst_many(body, tuple(reversed(rest[:n]))), rest[n:]
-                )
+    head, rest = unfold_app(applied)
+    if isinstance(head, Lam) and rest:
+        body, n = beta_spine(head, rest[::-1])
+        applied = mk_app(body, rest[n:])
     return beta_reduce(applied)
 
 

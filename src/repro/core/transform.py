@@ -17,18 +17,14 @@ recursively, and the final result is beta/iota-reduced without delta
 (step 4 of Figure 11), which contracts the applied configuration terms.
 Transformed subterms are cached (Section 4.4).
 
-Two drivers implement the same pass.  The default is a single memoized
-bottom-up sweep over the hash-consed arena: an explicit-stack post-order
-driver (like ``reduce``/``machine``) whose depth is heap-bounded, which
-consults the :class:`~repro.core.caching.TransformCache` exactly once
-per (term, pruned-context) pair, skips unification heuristics whose
+The pass is a single memoized bottom-up sweep over the hash-consed
+arena: an explicit-stack post-order driver whose depth is heap-bounded,
+which consults the :class:`~repro.core.caching.TransformCache` exactly
+once per (term, pruned-context) pair, skips unification heuristics whose
 head-class hints rule them out, fuses the binder eta-expansion walk into
 the pass via :func:`~repro.kernel.term._transform_rels` (per-node memo,
 no Python-stack recursion), and reuses untouched subtrees by object
-identity so downstream kernel caches stay hot.  The original recursive
-driver is kept behind ``REPRO_DISABLE_TRANSFORM_FAST=1`` /
-:func:`~repro.kernel.fastpath.set_transform_fast` as the escape hatch
-and as the reference for the differential fuzz suite.
+identity so downstream kernel caches stay hot.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..kernel.context import Context
 from ..kernel.env import Environment
-from ..kernel.fastpath import transform_fast_enabled
 from ..kernel.reduce import beta_reduce, nf
 from ..kernel.stats import KERNEL_STATS
 from ..obs import span, term_depth, term_size, tracing_enabled
@@ -225,27 +220,13 @@ class Transformer:
     # -- The transformation -----------------------------------------------------
 
     def transform(self, term: Term, ctx: Context) -> Term:
-        if transform_fast_enabled():
-            return self._transform_stack(term, ctx)
-        key = self.cache.key_for(term, ctx)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._transform(term, ctx)
-        self.cache.put(key, result)
-        return result
-
-    # -- The explicit-stack driver (the default) --------------------------------
-
-    def _transform_stack(self, term: Term, ctx: Context) -> Term:
         """One memoized post-order pass; transform depth is heap-bounded.
 
         ``_VISIT`` frames consult the cache and plan the node — either a
-        Figure 10 rule (whose matcher ran on the *untransformed* term,
-        exactly like the recursive driver) or structural recursion; a
-        planned node pushes a ``_BUILD`` frame holding its finisher
-        closure below the child visits, so children complete first in
-        the same depth-first order the recursive driver used.
+        Figure 10 rule (whose matcher runs on the *untransformed* term)
+        or structural recursion; a planned node pushes a ``_BUILD`` frame
+        holding its finisher closure below the child visits, so children
+        complete first, in depth-first order.
         """
         cache = self.cache
         key_for = cache.key_for
@@ -409,8 +390,7 @@ class Transformer:
 
         # Structural rules.  Leaves finish immediately (Ind cannot match
         # a side here: every match_type already ran above, so a bare
-        # family reference passes through unchanged, like the recursive
-        # driver's fall-through).
+        # family reference passes through unchanged).
         if isinstance(t, (Rel, Sort, Ind, Constr)):
             self.cache.put(key, t)
             results.append(t)
@@ -440,7 +420,7 @@ class Transformer:
 
             def build(vals, t=t):
                 domain, body = vals
-                body = self._eta_expand_fast(domain, body)
+                body = self._eta_expand_binder(domain, body)
                 if domain is t.domain and body is t.body:
                     return t
                 return Lam(t.name, domain, body)
@@ -454,7 +434,7 @@ class Transformer:
 
             def build(vals, t=t):
                 domain, codomain = vals
-                codomain = self._eta_expand_fast(domain, codomain)
+                codomain = self._eta_expand_binder(domain, codomain)
                 if domain is t.domain and codomain is t.codomain:
                     return t
                 return Pi(t.name, domain, codomain)
@@ -496,15 +476,22 @@ class Transformer:
         for child in reversed(children):
             stack.append((_VISIT, child, ctx))
 
-    def _eta_expand_fast(self, domain: Term, body: Term) -> Term:
-        """The fused eta-expansion of binders (see `_eta_expand_binder`).
+    def _eta_expand_binder(self, domain: Term, body: Term) -> Term:
+        """Apply the B side's Eta to every occurrence of a new binder.
 
-        Same contract as the recursive walk, but runs on the shared
-        explicit-stack rebuilder: heap-bounded on deep bodies, short-
-        circuits subtrees that cannot contain the bound variable, reuses
-        untouched nodes, and memoizes per (node, cutoff) under the
-        (Eta, params) pair — the old walk re-traversed every nested
-        binder body from scratch, quadratically.
+        When the B side declares a propositional Eta (e.g. sigma packing,
+        Section 4.1.2) and the binder's domain is the B type, every
+        occurrence of the bound variable is replaced with its
+        eta-expansion.  This is the unification step that keeps
+        eliminations of variables and iota-exposed recursions
+        definitionally aligned, so transformed proofs type check without
+        sigma eta in the kernel.
+
+        Runs on the shared explicit-stack rebuilder: heap-bounded on deep
+        bodies, short-circuits subtrees that cannot contain the bound
+        variable, reuses untouched nodes, and memoizes per (node, cutoff)
+        under the (Eta, params) pair, so nested binders are not
+        re-walked.
         """
         b = None
         params = None
@@ -539,78 +526,6 @@ class Transformer:
             entry = self._eta_memos[memo_key] = ((eta, params), {})
         return _transform_rels(body, 0, on_rel, entry[1], None, _ETA_COUNTER)
 
-    # -- The recursive driver (the escape hatch) ---------------------------------
-
-    def _transform(self, term: Term, ctx: Context) -> Term:
-        for config in self.configs:
-            result = self._try_rules(config, term, ctx)
-            if result is not None:
-                return result
-        # Structural rules.
-        return self._structural(term, ctx)
-
-    def _try_rules(
-        self, config: Configuration, term: Term, ctx: Context
-    ) -> Optional[Term]:
-        """Try the Figure 10 rules of one configuration; None if no match."""
-        a = config.a
-        b = config.b
-        env = self.env
-
-        # Iota (explicit marks take precedence: they wrap eliminations).
-        iota = a.match_iota(env, ctx, term)
-        if iota is not None:
-            j, args = iota
-            new_args = [self.transform(arg, ctx) for arg in args]
-            built = b.make_iota(j, new_args)
-            if built is not None:
-                return self._gated("Iota", built, ctx)
-            # Definitional iota on the B side: the cast disappears and the
-            # proof being cast (the final argument) stands on its own.
-            if not new_args:
-                raise TransformError(
-                    "iota mark with no arguments cannot be erased"
-                )
-            return self._gated("Iota", new_args[-1], ctx)
-
-        # Dep-Constr.
-        constr = a.match_constr(env, ctx, term)
-        if constr is not None:
-            j, params, args = constr
-            new_params = [self.transform(p, ctx) for p in params]
-            new_args = [self.transform(arg, ctx) for arg in args]
-            return self._gated(
-                "Dep-Constr", b.make_constr(j, new_params, new_args), ctx
-            )
-
-        # Projections (degenerate dependent eliminations; Section 6.4).
-        proj = a.match_proj(env, ctx, term)
-        if proj is not None:
-            i, base = proj
-            return self._gated(
-                "Proj", b.make_proj(i, self.transform(base, ctx)), ctx
-            )
-
-        # Dep-Elim.
-        elim = a.match_elim(env, ctx, term)
-        if elim is not None:
-            return self._gated(
-                "Dep-Elim",
-                b.make_elim(self._transform_elim_parts(elim, ctx)),
-                ctx,
-            )
-
-        # Equivalence: the type itself.
-        params = a.match_type(env, term)
-        if params is not None:
-            return self._gated(
-                "Equivalence",
-                b.make_type([self.transform(p, ctx) for p in params]),
-                ctx,
-            )
-
-        return None
-
     def _gated(self, rule: str, result: Term, ctx: Context) -> Term:
         """Scope-check a rule's output under ``REPRO_ANALYZE=1``.
 
@@ -619,125 +534,6 @@ class Transformer:
         """
         rule_gate(self.env, rule, result, len(ctx))
         return result
-
-    def _transform_elim_parts(self, match: ElimMatch, ctx: Context) -> ElimMatch:
-        return ElimMatch(
-            params=tuple(self.transform(p, ctx) for p in match.params),
-            motive=self.transform(match.motive, ctx),
-            cases=tuple(self.transform(c, ctx) for c in match.cases),
-            scrut=self.transform(match.scrut, ctx),
-            extra_args=tuple(
-                self.transform(e, ctx) for e in match.extra_args
-            ),
-        )
-
-    def _structural(self, term: Term, ctx: Context) -> Term:
-        if isinstance(term, (Rel, Sort)):
-            return term
-
-        if isinstance(term, Const):
-            mapped = self._const_map.get(term.name)
-            if mapped is not None:
-                return Const(mapped)
-            return term
-
-        if isinstance(term, Ind):
-            # A bare (unapplied or partially applied) reference to the old
-            # family; only legal when a side can express it.
-            for config in self.configs:
-                params = config.a.match_type(self.env, term)
-                if params is not None:
-                    return config.b.make_type(list(params))
-            return term
-
-        if isinstance(term, Constr):
-            return term
-
-        if isinstance(term, App):
-            return App(
-                self.transform(term.fn, ctx), self.transform(term.arg, ctx)
-            )
-
-        if isinstance(term, Lam):
-            domain = self.transform(term.domain, ctx)
-            body = self.transform(term.body, ctx.push(term.name, term.domain))
-            body = self._eta_expand_binder(domain, body)
-            return Lam(term.name, domain, body)
-
-        if isinstance(term, Pi):
-            domain = self.transform(term.domain, ctx)
-            codomain = self.transform(
-                term.codomain, ctx.push(term.name, term.domain)
-            )
-            codomain = self._eta_expand_binder(domain, codomain)
-            return Pi(term.name, domain, codomain)
-
-        if isinstance(term, Elim):
-            return Elim(
-                term.ind,
-                self.transform(term.motive, ctx),
-                tuple(self.transform(c, ctx) for c in term.cases),
-                self.transform(term.scrut, ctx),
-            )
-
-        raise TransformError(f"cannot transform {term!r}")
-
-    def _eta_expand_binder(self, domain: Term, body: Term) -> Term:
-        """Apply the B side's Eta to every occurrence of a new binder.
-
-        When the B side declares a propositional Eta (e.g. sigma packing,
-        Section 4.1.2) and the binder's domain is the B type, every
-        occurrence of the bound variable is replaced with its
-        eta-expansion.  This is the unification step that keeps
-        eliminations of variables and iota-exposed recursions
-        definitionally aligned, so transformed proofs type check without
-        sigma eta in the kernel.
-        """
-        b = None
-        params = None
-        for config in self.configs:
-            if config.b.eta is None:
-                continue
-            params = config.b.match_type(self.env, domain)
-            if params is not None:
-                b = config.b
-                break
-        if b is None or params is None:
-            return body
-
-        def expand(t: Term, cutoff: int) -> Term:
-            if isinstance(t, Rel):
-                if t.index == cutoff:
-                    applied = mk_app(
-                        b.eta,
-                        tuple(lift(p, cutoff + 1) for p in params) + (t,),
-                    )
-                    return beta_reduce(applied)
-                return t
-            if isinstance(t, (Sort, Const, Ind, Constr)):
-                return t
-            if isinstance(t, App):
-                return App(expand(t.fn, cutoff), expand(t.arg, cutoff))
-            if isinstance(t, Lam):
-                return Lam(
-                    t.name, expand(t.domain, cutoff), expand(t.body, cutoff + 1)
-                )
-            if isinstance(t, Pi):
-                return Pi(
-                    t.name,
-                    expand(t.domain, cutoff),
-                    expand(t.codomain, cutoff + 1),
-                )
-            if isinstance(t, Elim):
-                return Elim(
-                    t.ind,
-                    expand(t.motive, cutoff),
-                    tuple(expand(c, cutoff) for c in t.cases),
-                    expand(t.scrut, cutoff),
-                )
-            raise TransformError(f"eta expansion: unknown term {t!r}")
-
-        return expand(body, 0)
 
 
 def transform_term(

@@ -11,12 +11,6 @@ correctness, mirroring how the Coq kernel vets plugin output.
 from .context import Context
 from .convert import conv, sub
 from .env import ConstantDecl, EnvError, Environment
-from .fastpath import (
-    TRANSFORM_FAST_DISABLED_BY_ENV,
-    set_transform_fast,
-    transform_fast_enabled,
-)
-from .machine import NBE_DISABLED_BY_ENV, nbe_enabled, set_nbe
 from .inductive import (
     ConstructorDecl,
     InductiveDecl,
@@ -101,8 +95,6 @@ __all__ = [
     "CacheCounter",
     "EventCounter",
     "KernelStats",
-    "NBE_DISABLED_BY_ENV",
-    "TRANSFORM_FAST_DISABLED_BY_ENV",
     "ReductionCache",
     "abstract_term",
     "beta_iota_reduce",
@@ -126,21 +118,17 @@ __all__ = [
     "mk_app",
     "mk_lams",
     "mk_pis",
-    "nbe_enabled",
     "nf",
     "occurs_rel",
     "pretty",
     "replace_subterm",
     "set_hash_consing",
-    "set_nbe",
     "set_reduction_cache_default",
     "set_term_memo",
-    "set_transform_fast",
     "sub",
     "subst",
     "subst_many",
     "term_memo_enabled",
-    "transform_fast_enabled",
     "type_sort",
     "typecheck_closed",
     "unfold_app",

@@ -8,20 +8,10 @@ The algorithm is whnf-directed structural comparison with:
   compared with the eta-expansion of the other side), and
 * cumulativity (``Prop <= Set <= Type(1) <= ...``) when used in subtype
   mode: covariant in Pi codomains, invariant in domains, like Coq.
-
-By default conversion runs on the NbE abstract machine
-(:func:`repro.kernel.machine.conv_terms`): values are compared directly,
-and when both sides are applications of the *same* constant the argument
-spines are compared before unfolding (the lazy delta oracle).  The
-whnf-then-structural loop below is the fallback engine
-(``REPRO_DISABLE_NBE=1``); both return identical booleans and share the
-same cache entries.
 """
 
 from __future__ import annotations
 
-
-from . import machine
 from .env import ABSENT, Environment
 from .reduce import whnf
 from .stats import KERNEL_STATS
@@ -67,62 +57,15 @@ def _conv(env: Environment, t1: Term, t2: Term, cumulative: bool) -> bool:
         hit = cache.get(key, _CONV_COUNTER)
         if hit is not ABSENT:
             return hit
-    if machine.nbe_enabled():
-        if _head_normal(t1) and _head_normal(t2):
-            # Neither side can take a head step, so conversion is the
-            # structural comparison both engines agree on — skip the
-            # machine's eval/readback round trip; subterm pairs that do
-            # need reduction re-enter here and pick the machine then.
-            result = _conv_slow(env, t1, t2, cumulative)
-        elif _same_const_spine(t1, t2):
-            # Same constant head, same spine length: pairwise-convertible
-            # arguments prove conversion by congruence without unfolding
-            # (the machine's lazy-delta first move, minus the thunks).
-            # A failed spine is inconclusive — delta may still equate
-            # the sides — so only a positive answer short-circuits.
-            if _spine_args_conv(env, t1, t2):
-                result = True
-            else:
-                result = machine.conv_terms(env, t1, t2, cumulative)
-        else:
-            result = machine.conv_terms(env, t1, t2, cumulative)
-    else:
-        result = _conv_slow(env, t1, t2, cumulative)
+    result = _conv_uncached(env, t1, t2, cumulative)
     if key is not None:
         cache.put(key, result)
     return result
 
 
-def _head_normal(t: Term) -> bool:
-    """True when no delta/beta/iota step can fire at the head."""
-    if type(t) is App:
-        head = t.fn
-        while type(head) is App:
-            head = head.fn
-        return not isinstance(head, (Lam, Const, Elim))
-    return not isinstance(t, (Const, Elim))
-
-
-def _same_const_spine(t1: Term, t2: Term) -> bool:
-    """Both are applications of the same constant, equally long."""
-    while type(t1) is App and type(t2) is App:
-        t1 = t1.fn
-        t2 = t2.fn
-    return (
-        type(t1) is Const and type(t2) is Const and t1.name == t2.name
-    )
-
-
-def _spine_args_conv(env: Environment, t1: Term, t2: Term) -> bool:
-    while type(t1) is App:
-        if not _conv(env, t1.arg, t2.arg, cumulative=False):
-            return False
-        t1 = t1.fn
-        t2 = t2.fn
-    return True
-
-
-def _conv_slow(env: Environment, t1: Term, t2: Term, cumulative: bool) -> bool:
+def _conv_uncached(
+    env: Environment, t1: Term, t2: Term, cumulative: bool
+) -> bool:
     t1 = whnf(env, t1)
     t2 = whnf(env, t2)
     if t1 == t2:

@@ -64,12 +64,6 @@ class ReductionCache:
     The transformer, the type checker, and the decompiler all reduce
     through the same :class:`Environment`, so they share this cache.
 
-    The NbE machine (:mod:`repro.kernel.machine`) keeps its own entry
-    families here too — shared closures (``machine_thunk``), evaluated
-    constant bodies (``machine_const``), and value-level conversion
-    verdicts (``machine_vconv``) — so flipping ``redefine``/``remove``
-    invalidates machine state for free along with everything else.
-
     Entries stay valid under *additive* environment changes (``define``,
     ``assume``, ``declare_inductive``): a term can only mention globals
     that already existed when its entry was stored, because reducing a

@@ -14,13 +14,10 @@ compare.  The structural rebuilders return their input unchanged when no
 child changed, so repeated normalization of an already-normal term
 allocates nothing.
 
-By default both normalizers dispatch to the NbE abstract machine in
-:mod:`repro.kernel.machine` (closure-based evaluation: beta steps are
-O(1) environment extensions instead of ``subst`` traversals), falling
-back to the substitution-based reducers in this module when the machine
-is disabled (``REPRO_DISABLE_NBE=1`` or
-:func:`~repro.kernel.machine.set_nbe`).  Both engines produce
-byte-identical results and share the same cache entries.
+Beta steps substitute.  A head ``Lam`` spine applied to several
+arguments is contracted by :func:`beta_spine` with one parallel
+:func:`~repro.kernel.term.subst_many` pass; a single binder goes through
+the memoized :func:`~repro.kernel.term.subst`.
 
 Cache keys for ``App``/``Elim``/``Const`` inputs are *shallow
 structural* — class tag plus child identities — so structurally equal
@@ -39,9 +36,8 @@ such limit).
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from . import machine
 from .env import ABSENT, Environment
 from .inductive import iota_reduce
 from .stats import KERNEL_STATS
@@ -60,6 +56,7 @@ from .term import (
     mk_app,
     register_term_cache,
     subst,
+    subst_many,
     term_memo_enabled,
     unfold_app,
 )
@@ -128,47 +125,35 @@ def whnf(
     """
     frozen = frozen or frozenset()
     try:
-        return _whnf_dispatch(env, term, delta, frozen)
+        return _whnf(env, term, delta, frozen)
     except RecursionError:
         raise ReduceError(_TOO_DEEP) from None
 
 
-def _whnf_dispatch(
-    env: Environment, term: Term, delta: bool, frozen: FrozenSet[str]
-) -> Term:
-    if machine.nbe_enabled():
-        return _whnf_nbe(env, term, delta, frozen)
-    return _whnf(env, term, delta, frozen)
+def beta_spine(lam: Lam, args: Sequence[Term]) -> Tuple[Term, int]:
+    """Contract ``lam``'s leading binders against pending arguments.
 
+    ``args`` is a stack whose *last* element is the first argument
+    ``lam`` is applied to (``reversed`` application order, the order
+    :func:`~repro.kernel.term.subst_many` wants).  Returns the
+    instantiated body and how many arguments it consumed: as many as
+    there are leading binders, at most ``len(args)``, at least one.
 
-def _whnf_nbe(
-    env: Environment, term: Term, delta: bool, frozen: FrozenSet[str]
-) -> Term:
-    # Only App/Elim/Const can reduce at the head; everything else is
-    # already weak-head normal (the legacy loop falls through in O(1),
-    # the machine would pay a full eval + readback for nothing).
-    if not isinstance(term, (App, Elim, Const)):
-        return term
-    if type(term) is App:
-        # An application whose spine head is a variable, inductive, or
-        # constructor is neutral: no delta/beta/iota step can fire at the
-        # head, so the term is its own whnf — skip the machine round trip
-        # (type checking probes types like ``list A`` constantly).
-        head = term.fn
-        while type(head) is App:
-            head = head.fn
-        if not isinstance(head, (Lam, Const, Elim)):
-            return term
-    cache = env.reduction_cache
-    key = _whnf_key(term, delta, frozen) if cache.enabled else None
-    if key is not None:
-        hit = cache.get(key, _WHNF_COUNTER)
-        if hit is not ABSENT:
-            return hit[1]
-    result = machine.whnf_term(env, term, delta, frozen)
-    if key is not None:
-        cache.put(key, (term, result))
-    return result
+    A spine of binders is contracted with one parallel ``subst_many``,
+    which equals the sequential beta steps because each argument lives
+    outside every contracted binder, and which stores no ``subst`` memo
+    entries for the intermediate bodies (the bulk of that table's growth
+    when binders are contracted one at a time).  A single binder keeps
+    the memoized ``subst``.
+    """
+    body = lam.body
+    n = 1
+    while n < len(args) and isinstance(body, Lam):
+        body = body.body
+        n += 1
+    if n == 1:
+        return subst(body, args[-1]), 1
+    return subst_many(body, args[-n:]), n
 
 
 def _whnf(
@@ -188,7 +173,8 @@ def _whnf(
             term = term.fn
             continue
         if isinstance(term, Lam) and args:
-            term = subst(term.body, args.pop())
+            term, n = beta_spine(term, args)
+            del args[-n:]
             continue
         if isinstance(term, Const) and delta and term.name not in frozen:
             decl = env.constant(term.name)
@@ -257,13 +243,8 @@ def nf(
 ) -> Term:
     """Full (strong) normal form of ``term``.
 
-    Structural descent with per-node caching; head reduction dispatches
-    to the NbE machine when it is enabled, so beta/iota chains inside
-    each weak-head step are environment extensions rather than ``subst``
-    traversals while subterm normal forms stay individually cached.
-    (:func:`repro.kernel.machine.nf_term` is the machine's monolithic
-    evaluate-then-quote normalizer; the differential tests compare it
-    against this path.)
+    Structural descent: weak-head reduce, then normalize the pieces,
+    with every subterm's normal form individually cached.
     """
     frozen = frozen or frozenset()
     try:
@@ -292,7 +273,7 @@ def _nf(
 def _nf_uncached(
     env: Environment, term: Term, delta: bool, frozen: FrozenSet[str]
 ) -> Term:
-    term = _whnf_dispatch(env, term, delta, frozen)
+    term = _whnf(env, term, delta, frozen)
     if isinstance(term, (Rel, Sort, Const, Ind, Constr)):
         return term
     if isinstance(term, App):
@@ -389,11 +370,6 @@ def _beta_reduce(term: Term) -> Term:
             _BETA_MEMO.clear()
         _BETA_MEMO[id(term)] = (term, result)
         return result
-    # beta_reduce stays substitution-based in both engine modes: it is a
-    # pure term-level function whose per-node memo (plus hash consing)
-    # beats monolithic evaluate-and-quote on the repeated, mostly-normal
-    # goals the tactics engine feeds it.  machine.beta_nf_term is the
-    # machine equivalent, kept for the differential tests.
     return _beta_reduce_node(term)
 
 

@@ -36,14 +36,12 @@ tuples).  Hash consing makes the decoded terms pointer-identical to
 anything the warm process builds later, so the restored entries hit.
 
 Families carried: ``whnf``, ``nf``, ``conv``, ``infer``, ``check``.
-Families skipped: the NbE machine's ``machine_thunk`` /
-``machine_const`` / ``machine_vconv`` entries hold live closures and
-:class:`~repro.kernel.machine.Value` graphs — process-local by nature —
-and are rebuilt on demand in the warm process; their absence is a
-cold-cache cost, never a correctness issue.  A snapshot never outlives
-an edit to its setup module: the fingerprint mismatch routes the worker
-back to a scratch boot (and non-additive environment mutations clear
-the restored cache exactly as they clear a scratch-built one).
+Entries under any other tag are skipped and rebuilt on demand in the
+warm process; their absence is a cold-cache cost, never a correctness
+issue.  A snapshot never outlives an edit to its setup module: the
+fingerprint mismatch routes the worker back to a scratch boot (and
+non-additive environment mutations clear the restored cache exactly as
+they clear a scratch-built one).
 
 CLI::
 
@@ -109,8 +107,7 @@ _FAM_CONV = 2
 _FAM_INFER = 3
 _FAM_CHECK = 4
 
-#: Reduction-cache key tags that are serialized (see module docstring
-#: for why the machine_* families are not).
+#: Reduction-cache key tags that are serialized (see module docstring).
 _SERIALIZED_FAMILIES = {
     "whnf": _FAM_WHNF,
     "nf": _FAM_NF,

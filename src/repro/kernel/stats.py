@@ -33,10 +33,8 @@ CACHES_DISABLED_BY_ENV: bool = os.environ.get(
 class EventCounter:
     """A monotone event count (no hit/miss structure).
 
-    Used by the abstract machine (:mod:`repro.kernel.machine`) for
-    quantities that are not cache lookups: evaluation steps, closure
-    allocations, readback passes, delta unfolds avoided by the lazy
-    conversion oracle.
+    For quantities that are not cache lookups, registered with
+    :meth:`KernelStats.event`.
     """
 
     __slots__ = ("count",)
@@ -91,13 +89,11 @@ class KernelStats:
       ``lift``, ``subst``, ``free_rels`` (de Bruijn ops), ``whnf``,
       ``nf`` (reduction cache), ``conv`` (conversion), ``infer``
       (type inference), ``check`` (bidirectional verdict memo),
-      ``machine_thunk`` (NbE closure sharing), ``transform_cache``
-      (the Figure-10 transformer's subterm cache), ``eta_expand``
-      (the transformer's fused binder eta pass), ``globals``
-      (memoized :func:`~repro.kernel.term.collect_globals`);
-    * one :class:`EventCounter` per machine event, created on demand:
-      ``machine_steps``, ``machine_closures``, ``machine_readbacks``,
-      ``machine_delta_avoided`` (see :mod:`repro.kernel.machine`).
+      ``transform_cache`` (the Figure-10 transformer's subterm cache),
+      ``eta_expand`` (the transformer's fused binder eta pass),
+      ``globals`` (memoized :func:`~repro.kernel.term.collect_globals`);
+    * one :class:`EventCounter` per named event, created on demand by
+      :meth:`event`.
     """
 
     __slots__ = ("constructions", "intern_hits", "tables", "events")

@@ -25,9 +25,8 @@ from typing import Optional, Tuple
 from .context import Context
 from .convert import conv, sub
 from .env import ABSENT, Environment
-from .fastpath import transform_fast_enabled
 from .inductive import case_type
-from .reduce import whnf
+from .reduce import beta_spine, whnf
 from .stats import KERNEL_STATS
 from .term import (
     App,
@@ -43,7 +42,6 @@ from .term import (
     TermError,
     lift,
     mk_app,
-    subst,
     subst_many,
     unfold_app,
 )
@@ -119,20 +117,7 @@ def _infer(env: Environment, ctx: Context, term: Term) -> Term:
         return Pi(term.name, term.domain, body_ty)
 
     if isinstance(term, App):
-        if transform_fast_enabled():
-            return _infer_spine(env, ctx, term)
-        fn_ty = infer(env, ctx, term.fn)
-        if not isinstance(fn_ty, Pi):
-            # Inferred function types are almost always Pi already;
-            # dispatching to the reduction engine (either one) only pays
-            # off when there is an actual redex or constant to unfold.
-            fn_ty = whnf(env, fn_ty)
-        if not isinstance(fn_ty, Pi):
-            raise TypeError_(
-                f"application of a non-function: head has type {fn_ty!r}"
-            )
-        check(env, ctx, term.arg, fn_ty.domain)
-        return _head_beta(subst(fn_ty.codomain, term.arg))
+        return _infer_spine(env, ctx, term)
 
     if isinstance(term, Elim):
         return _infer_elim(env, ctx, term)
@@ -141,13 +126,12 @@ def _infer(env: Environment, ctx: Context, term: Term) -> Term:
 
 
 def _infer_spine(env: Environment, ctx: Context, term: App) -> Term:
-    """Infer an application spine iteratively (the fast-path App rule).
+    """Infer an application spine iteratively.
 
     One loop handles the whole spine instead of one ``infer``/``_infer``
-    frame pair per ``App`` node.  The memo behaviour is the recursive
-    path's exactly: each prefix is probed on the way down (stopping at
-    the innermost hit), and every uncached prefix is stored on the way
-    back up, so later spines sharing a prefix still hit.
+    frame pair per ``App`` node.  Each prefix is probed in the memo on
+    the way down, stopping at the innermost hit; :func:`infer` stores
+    the type of the whole spine.
     """
     cache = env.reduction_cache
     caching = cache.enabled
@@ -202,30 +186,13 @@ def _infer_spine(env: Environment, ctx: Context, term: App) -> Term:
 
 
 def _head_beta(term: Term) -> Term:
-    """Contract leading beta redexes (cosmetic cleanup of inferred types).
-
-    On the fast path a whole ``Lam``-spine is contracted with one
-    parallel :func:`subst_many` instead of one :func:`subst` per binder;
-    parallel substitution of a beta spine equals the sequential fold
-    (each argument is interpreted outside all the contracted binders),
-    so the result is byte-identical either way.
-    """
+    """Contract leading beta redexes (cosmetic cleanup of inferred types)."""
     while True:
         head, args = unfold_app(term)
         if not (isinstance(head, Lam) and args):
             return term
-        if transform_fast_enabled():
-            body = head
-            n = 0
-            while isinstance(body, Lam) and n < len(args):
-                body = body.body
-                n += 1
-            if n > 1:
-                term = mk_app(
-                    subst_many(body, tuple(reversed(args[:n]))), args[n:]
-                )
-                continue
-        term = mk_app(subst(head.body, args[0]), args[1:])
+        body, n = beta_spine(head, args[::-1])
+        term = mk_app(body, args[n:])
 
 
 _CHECK_COUNTER = KERNEL_STATS.counter("check")
@@ -235,10 +202,10 @@ _CHECK_TAG = "check"
 def check(env: Environment, ctx: Context, term: Term, expected: Term) -> None:
     """Check ``term`` against ``expected`` (up to cumulativity).
 
-    The default path is bidirectional: a ``Lam`` checked against a
-    ``Pi`` whose domain is convertible descends straight into the body
-    against the codomain, instead of synthesizing the whole spine's type
-    and comparing after the fact — the Figure-10 rule outputs and
+    Checking is bidirectional: a ``Lam`` checked against a ``Pi`` whose
+    domain is convertible descends straight into the body against the
+    codomain, instead of synthesizing the whole spine's type and
+    comparing after the fact — the Figure-10 rule outputs and
     repaired definitions the transformer produces are all checked
     against expected (configuration-derived) types, so this skips
     re-deriving what the caller already knows.  Successful verdicts are
@@ -247,16 +214,7 @@ def check(env: Environment, ctx: Context, term: Term, expected: Term) -> None:
     stable under additive environment extension, and the cache is
     cleared on any non-additive change.  Failures are not cached and
     fall back to the synthesizing path, preserving its error reporting.
-    ``REPRO_DISABLE_TRANSFORM_FAST=1`` restores the original
-    infer-then-subsume behaviour.
     """
-    if not transform_fast_enabled():
-        actual = infer(env, ctx, term)
-        if actual is expected:
-            return
-        if not sub(env, actual, expected):
-            _raise_mismatch(env, ctx, term, actual, expected)
-        return
     cache = env.reduction_cache
     key = None
     if cache.enabled:
@@ -275,8 +233,8 @@ def _check_bidirectional(
     while isinstance(term, Lam):
         exp = expected if isinstance(expected, Pi) else whnf(env, expected)
         if not (isinstance(exp, Pi) and conv(env, term.domain, exp.domain)):
-            # Structure (or domain) disagrees: synthesize and subsume so
-            # the error message matches the standard path.
+            # Structure (or domain) disagrees: synthesize and subsume,
+            # which reports the mismatch against the whole term.
             break
         infer_sort(env, ctx, term.domain)
         ctx = ctx.push(term.name, term.domain)

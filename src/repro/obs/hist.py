@@ -46,7 +46,16 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 class Histogram:
     """A cumulative fixed-bucket histogram of non-negative samples."""
 
-    __slots__ = ("_bounds", "_counts", "_inf", "_sum", "_total", "_lock")
+    __slots__ = (
+        "_bounds",
+        "_counts",
+        "_inf",
+        "_sum",
+        "_total",
+        "_min",
+        "_max",
+        "_lock",
+    )
 
     def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
         bounds = tuple(sorted(float(b) for b in buckets))
@@ -61,6 +70,8 @@ class Histogram:
         self._inf = 0  # samples above the largest bound
         self._sum = 0.0
         self._total = 0
+        self._min = float("inf")  # smallest and largest sample seen
+        self._max = 0.0
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
@@ -72,6 +83,8 @@ class Histogram:
                 self._counts[index] += 1
             else:
                 self._inf += 1
+            self._min = min(self._min, value)
+            self._max = max(self._max, value)
             self._sum += value
             self._total += 1
 
@@ -112,7 +125,9 @@ class Histogram:
 
         Linear interpolation inside the crossing bucket; samples above
         the top bound report the top bound (the estimate saturates
-        rather than inventing a tail).  Zero when empty.
+        rather than inventing a tail).  The estimate is clamped to the
+        smallest and largest sample observed, so it never leaves the
+        observed range.  Zero when empty.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile {q!r} outside [0, 1]")
@@ -120,6 +135,8 @@ class Histogram:
             counts = list(self._counts)
             inf = self._inf
             total = self._total
+            low = self._min
+            high = self._max
         if total == 0:
             return 0.0
         rank = q * total
@@ -128,11 +145,14 @@ class Histogram:
         for bound, count in zip(self._bounds, counts):
             if running + count >= rank and count > 0:
                 within = (rank - running) / count
-                return previous_bound + (bound - previous_bound) * within
+                estimate = previous_bound + (bound - previous_bound) * within
+                break
             running += count
             previous_bound = bound
-        # The rank falls in the +Inf bucket: saturate at the top bound.
-        return self._bounds[-1] if inf else previous_bound
+        else:
+            # The rank falls in the +Inf bucket: saturate at the top bound.
+            estimate = self._bounds[-1] if inf else previous_bound
+        return min(max(estimate, low), high)
 
     def percentiles(
         self, points: Sequence[float] = (0.5, 0.95, 0.99)

@@ -78,7 +78,7 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-def _stats_mark() -> Tuple[int, int, Dict[str, Tuple[int, int]], Dict[str, int]]:
+def _stats_mark() -> Tuple[int, int, Dict[str, Tuple[int, int]]]:
     """A cheap copy of every kernel counter, taken at span boundaries."""
     return (
         KERNEL_STATS.constructions,
@@ -87,13 +87,12 @@ def _stats_mark() -> Tuple[int, int, Dict[str, Tuple[int, int]], Dict[str, int]]
             name: (counter.hits, counter.misses)
             for name, counter in KERNEL_STATS.tables.items()
         },
-        {name: event.count for name, event in KERNEL_STATS.events.items()},
     )
 
 
 def _stats_delta(
-    before: Tuple[int, int, Dict[str, Tuple[int, int]], Dict[str, int]],
-    after: Tuple[int, int, Dict[str, Tuple[int, int]], Dict[str, int]],
+    before: Tuple[int, int, Dict[str, Tuple[int, int]]],
+    after: Tuple[int, int, Dict[str, Tuple[int, int]]],
 ) -> Dict[str, Any]:
     constructions = after[0] - before[0]
     intern_hits = after[1] - before[1]
@@ -109,16 +108,10 @@ def _stats_delta(
                 "misses": d_misses,
                 "hit_rate": round(d_hits / total, 4) if total else 0.0,
             }
-    events: Dict[str, int] = {}
-    for name, count in after[3].items():
-        d_count = count - before[3].get(name, 0)
-        if d_count:
-            events[name] = d_count
     return {
         "constructions": constructions,
         "intern_hits": intern_hits,
         "tables": tables,
-        "events": events,
     }
 
 
@@ -288,7 +281,6 @@ def summarize_spans(spans: Iterable[Span]) -> Dict[str, Dict[str, Any]]:
                 "constructions": 0,
                 "intern_hits": 0,
                 "_tables": {},
-                "_events": {},
                 "gauges": {},
             }
         entry["count"] += 1
@@ -301,15 +293,12 @@ def summarize_spans(spans: Iterable[Span]) -> Dict[str, Dict[str, Any]]:
                 hits + delta["hits"],
                 misses + delta["misses"],
             )
-        for event, count in span.kernel.get("events", {}).items():
-            entry["_events"][event] = entry["_events"].get(event, 0) + count
         for gauge, value in span.gauges.items():
             previous = entry["gauges"].get(gauge)
             if previous is None or value > previous:
                 entry["gauges"][gauge] = value
     for entry in phases.values():
         tables = entry.pop("_tables")
-        events = entry.pop("_events")
         entry["wall_time_s"] = round(entry["wall_time_s"], 6)
         entry["cache_hit_rates"] = {
             table: round(hits / (hits + misses), 4)
@@ -320,8 +309,6 @@ def summarize_spans(spans: Iterable[Span]) -> Dict[str, Dict[str, Any]]:
             table: hits + misses
             for table, (hits, misses) in sorted(tables.items())
         }
-        if events:
-            entry["machine_events"] = dict(sorted(events.items()))
     return phases
 
 

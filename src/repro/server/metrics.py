@@ -13,7 +13,7 @@ every scraper and human alike can read:
   exposition always reads the *current* value, never a stale copy;
 * **kernel counters** — the process-global
   :data:`~repro.kernel.stats.KERNEL_STATS` tables (constructions,
-  interning, every memo table's hits/misses, machine events), because
+  interning, every memo table's hits/misses), because
   the repair engine's cache behaviour is exactly what a server operator
   tunes against.
 
@@ -172,14 +172,6 @@ def _kernel_lines() -> List[str]:
             labels = _labels({"table": table, "kind": kind})
             lines.append(
                 f"{_PREFIX}_kernel_cache_total{labels} {counts[kind]}"
-            )
-    events: Dict[str, int] = snap["events"]
-    if events:
-        lines.append(f"# TYPE {_PREFIX}_kernel_events_total counter")
-        for event, count in sorted(events.items()):
-            labels = _labels({"event": event})
-            lines.append(
-                f"{_PREFIX}_kernel_events_total{labels} {count}"
             )
     return lines
 

@@ -191,18 +191,10 @@ def _stats_delta(
         misses = counts["misses"] - base["misses"]
         if hits or misses:
             tables[name] = {"hits": hits, "misses": misses}
-    events: Dict[str, int] = {}
-    after_events: Dict[str, int] = after["events"]
-    before_events: Dict[str, int] = before["events"]
-    for name, count in after_events.items():
-        delta = count - before_events.get(name, 0)
-        if delta:
-            events[name] = delta
     return {
         "constructions": after["constructions"] - before["constructions"],
         "intern_hits": after["intern_hits"] - before["intern_hits"],
         "tables": tables,
-        "events": events,
     }
 
 

@@ -1,12 +1,12 @@
 """Seeded random well-scoped term generator, shared by the fuzz suites.
 
-Extracted from the scope-checker fuzzer so the NbE differential tests
+Extracted from the scope-checker fuzzer so the reduction golden tests
 (:mod:`test_kernel_machine`) and the analysis tests draw from the same
 distribution: every generated term is well-scoped (all ``Rel`` indices
 bound), mentions only stdlib globals (``add``/``pred``/``eq_sym``,
 ``nat``/``bool``/``eq``), and uses a plain ``random.Random`` so failures
 replay from the printed seed.  Terms are *not* necessarily well-typed —
-both reduction engines must agree on ill-typed-but-scoped garbage too.
+the frozen outputs cover ill-typed-but-scoped garbage too.
 
 Fuzz loops should draw through :func:`fuzz_terms`, which owns the RNG
 and yields a label alongside each term carrying the *explicit seed* and

@@ -97,7 +97,7 @@ class TestTruePositives:
 # -- Seeded fuzzing (stdlib random only) -------------------------------------
 
 
-# The generator lives in termgen so the NbE differential fuzzer shares it.
+# The generator lives in termgen so the reduction golden tests share it.
 from tests.termgen import fuzz_terms  # noqa: E402
 
 

@@ -1,8 +1,9 @@
 """The binary term codec: round-trips, sharing, and corruption refusal.
 
-The differential fuzz suites mirror the NbE ones: seeded termgen terms
-go through encode→decode→encode, asserting structural equality, arena
-identity (when hash consing is on), and byte-for-byte encode stability.
+The fuzz suites send seeded termgen terms (as the reduction golden
+tests use) through encode→decode→encode, asserting structural equality,
+arena identity (when hash consing is on), and byte-for-byte encode
+stability.
 The corruption suites hold the codec to its refuse-don't-crash
 contract — *every* malformed input must surface as
 :class:`SnapshotError`, never a deep ``KeyError``/``IndexError``/

@@ -109,6 +109,20 @@ class TestHistogram:
         assert p["p99"] <= 4.0
         assert Histogram().quantile(0.5) == 0.0
 
+    def test_quantiles_stay_inside_the_observed_range(self):
+        # One 2.79 s sample in the default (2.5, 5.0] bucket: plain
+        # interpolation would report p50 3.75 and p99 4.975.
+        hist = Histogram()
+        hist.observe(2.79)
+        for q in (0.0, 0.5, 0.99, 1.0):
+            assert hist.quantile(q) == pytest.approx(2.79)
+        # Every sample above the top bound: the saturated estimate is
+        # raised to the smallest sample.
+        high = Histogram((1.0, 2.0))
+        for value in (3.0, 7.0):
+            high.observe(value)
+        assert high.quantile(0.5) == pytest.approx(3.0)
+
 
 # -- Rate limiting ------------------------------------------------------------
 

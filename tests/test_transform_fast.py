@@ -1,140 +1,55 @@
-"""The transformer fast path: stack driver vs. legacy recursive driver.
+"""The Figure 10 transformer: golden outputs, deep bodies, observability.
 
-The explicit-stack post-order driver (the default) and the original
-recursive transformer must be observationally identical — same arena
-objects out, same errors, same analysis diagnostics — with the recursive
-driver kept reachable via ``REPRO_DISABLE_TRANSFORM_FAST=1`` /
-:func:`repro.kernel.fastpath.set_transform_fast` as the escape hatch.
-The differential fuzz here drives both over randomized swap/rename
-configurations on terms steered toward ``list``/``nat`` so the Figure 10
-rules actually fire; the deep-numeral test pins the fix for the legacy
-``_eta_expand_binder`` recursion blowing the Python stack.
+The fuzz tests run the explicit-stack transformer over randomized
+swap/rename configurations on terms steered toward ``list``/``nat`` so
+the Figure 10 rules actually fire, and compare every output — or error
+class, message and ``REPRO_ANALYZE`` codes — with the corpus frozen in
+``tests/fixtures/engine_golden.json``, which the stack driver and the
+recursive driver it replaced agreed on (see
+``tests/fixtures/make_engine_golden.py``).  A mismatch names the term's
+seed label.  The deep-numeral test pins the heap-bounded eta-expansion
+of binder bodies.
 """
 
 import pytest
 
-from repro.analysis import AnalysisError, set_analysis
-from repro.core import TransformCache, Transformer
+from repro.core import Transformer
 from repro.core.search.refine_unit import refine_unit_configuration
-from repro.core.search.swap import swap_configuration
-from repro.kernel import (
-    App,
-    Constr,
-    Ind,
-    Lam,
-    Rel,
-    mentions_global,
-    set_transform_fast,
-    transform_fast_enabled,
-)
+from repro.kernel import App, Constr, Ind, Lam, Rel, mentions_global
 from repro.kernel.stats import KERNEL_STATS
 from repro.kernel.term import hash_consing_enabled
 from repro.obs import get_tracer, reset_tracer, set_tracing
-from repro.stdlib import declare_list_type, make_env
-from tests.termgen import fuzz_terms
+from repro.stdlib import make_env
+from tests.fixtures import make_engine_golden as golden
 
 
 @pytest.fixture(scope="module")
 def swap_env():
-    env = make_env(lists=True, vectors=False)
-    declare_list_type(env, "New.list", swapped=True)
-    return env
+    return golden.swap_env()
 
 
-def _fresh_config(env, rename=False):
-    config = swap_configuration(env, "list", "New.list", prove=False)
-    if rename:
-        config.const_map["app"] = "New.app"
-        config.const_map["length"] = "New.length"
-    return config
+@pytest.fixture(scope="module")
+def frozen():
+    return golden.load_corpus()["transform"]
 
 
-def _same_output(a, b):
-    """Arena-identical when interning is on; merely equal suffices off.
-
-    Hash-consing makes equal results the same object, so ``is`` is the
-    strongest possible assertion — but under
-    ``REPRO_DISABLE_KERNEL_CACHES=1`` every construction allocates fresh
-    nodes and only structural equality is meaningful.
-    """
-    return a is b if hash_consing_enabled() else a == b
+def _assert_golden(env, frozen, section):
+    fresh = golden.transform_outcomes(env, section)
+    golden.assert_matches(section, frozen[section], fresh)
 
 
-def _run_driver(env, config, term, fast, analyze=False):
-    """Transform ``term`` under one driver; normalize the outcome."""
-    previous_fast = set_transform_fast(fast)
-    previous_analyze = set_analysis(analyze) if analyze else None
-    try:
-        transformer = Transformer(
-            env, config, cache=TransformCache(), reduce_output=False
-        )
-        try:
-            return ("ok", transformer(term))
-        except Exception as exc:  # noqa: BLE001 — drivers must agree
-            codes = exc.codes if isinstance(exc, AnalysisError) else None
-            return ("err", type(exc).__name__, str(exc), codes)
-    finally:
-        if previous_analyze is not None:
-            set_analysis(previous_analyze)
-        set_transform_fast(previous_fast)
-
-
-# -- Differential fuzz ---------------------------------------------------------
+# -- Golden fuzz -------------------------------------------------------------
 
 
 class TestDifferentialFuzz:
-    def test_drivers_agree_on_random_terms(self, swap_env):
-        """Arena-identical outputs (or equal errors) on 200 fuzz terms."""
-        for rename in (False, True):
-            config = _fresh_config(swap_env, rename=rename)
-            for label, term in fuzz_terms(
-                20260809 + rename,
-                100,
-                swap_env,
-                depth=4,
-                consts=("add", "pred", "app", "rev", "length"),
-                inds=("nat", "bool", "list"),
-                constr_inds=("nat", "list"),
-            ):
-                fast = _run_driver(swap_env, config, term, fast=True)
-                legacy = _run_driver(swap_env, config, term, fast=False)
-                assert fast[0] == legacy[0], (label, fast, legacy)
-                if fast[0] == "ok":
-                    # Strongest when interning is on: anything weaker
-                    # than identity means one driver left the arena.
-                    assert _same_output(fast[1], legacy[1]), (
-                        label,
-                        fast[1],
-                        legacy[1],
-                    )
-                else:
-                    assert fast[1:] == legacy[1:], (label, fast, legacy)
+    def test_drivers_agree_on_random_terms(self, swap_env, frozen):
+        """Frozen outputs (or errors) on 200 fuzz terms."""
+        _assert_golden(swap_env, frozen, "swap")
+        _assert_golden(swap_env, frozen, "swap+rename")
 
-    def test_drivers_agree_under_analysis_gate(self, swap_env):
-        """Equal diagnostics (REPRO_ANALYZE semantics) on both drivers."""
-        config = _fresh_config(swap_env)
-        for label, term in fuzz_terms(
-            97,
-            60,
-            swap_env,
-            depth=4,
-            consts=("add", "pred", "app"),
-            inds=("nat", "list"),
-            constr_inds=("nat", "list"),
-        ):
-            fast = _run_driver(
-                swap_env, config, term, fast=True, analyze=True
-            )
-            legacy = _run_driver(
-                swap_env, config, term, fast=False, analyze=True
-            )
-            assert fast[0] == legacy[0], (label, fast, legacy)
-            if fast[0] == "ok":
-                assert _same_output(fast[1], legacy[1]), label
-            else:
-                # Same error, same analysis codes (None for non-analysis
-                # errors on both sides).
-                assert fast[1:] == legacy[1:], (label, fast, legacy)
+    def test_drivers_agree_under_analysis_gate(self, swap_env, frozen):
+        """Frozen outputs and diagnostics with REPRO_ANALYZE on."""
+        _assert_golden(swap_env, frozen, "analyze")
 
 
 # -- The deep-body eta-expansion regression ------------------------------------
@@ -143,15 +58,14 @@ class TestDifferentialFuzz:
 @pytest.mark.skipif(
     not hash_consing_enabled(),
     reason="REPRO_DISABLE_KERNEL_CACHES=1 routes rule application through "
-    "the legacy recursive beta_reduce, whose documented ReduceError depth "
-    "limit predates (and is orthogonal to) the transformer driver",
+    "the unmemoized recursive beta_reduce, whose documented ReduceError "
+    "depth limit is orthogonal to the transformer pass",
 )
 def test_eta_expansion_survives_deep_bodies():
     """An S^1500-style numeral under a sigma-eta config must transform.
 
-    The legacy ``_eta_expand_binder`` re-walked binder bodies with plain
-    recursion, so a body deeper than the Python stack raised
-    ``RecursionError``; the fused stack driver is heap-bounded.
+    Binder eta-expansion runs on the explicit-stack rebuilder, so a body
+    deeper than the Python stack does not raise ``RecursionError``.
     """
     env = make_env()
     config = refine_unit_configuration(env, "nat")
@@ -159,11 +73,7 @@ def test_eta_expansion_survives_deep_bodies():
     for _ in range(1500):
         body = App(Constr("nat", 1), body)
     term = Lam("s", Ind("nat"), body)
-    previous = set_transform_fast(True)
-    try:
-        out = Transformer(env, config, reduce_output=False)(term)
-    finally:
-        set_transform_fast(previous)
+    out = Transformer(env, config, reduce_output=False)(term)
     # The binder now ranges over the packed type and the numeral spine
     # was rebuilt through the packed constructors.
     assert mentions_global(out, "sigT")
@@ -177,7 +87,7 @@ def test_eta_expansion_survives_deep_bodies():
 
 class TestObservability:
     def test_transform_cache_counters_in_kernel_stats(self, swap_env):
-        config = _fresh_config(swap_env)
+        config = golden.swap_config(swap_env)
         counter = KERNEL_STATS.counter("transform_cache")
         hits0, misses0 = counter.hits, counter.misses
         transformer = Transformer(swap_env, config)
@@ -190,7 +100,7 @@ class TestObservability:
         assert counter.misses == misses_after_first
 
     def test_transform_span_carries_hit_rate_gauge(self, swap_env):
-        config = _fresh_config(swap_env)
+        config = golden.swap_config(swap_env)
         previous = set_tracing(True)
         reset_tracer()
         try:
@@ -214,27 +124,3 @@ class TestObservability:
             assert sp.gauges["term_depth_in"] >= 1
             assert sp.gauges["term_size_out"] >= 1
             assert sp.gauges["term_depth_out"] >= 1
-
-
-# -- The escape hatch ----------------------------------------------------------
-
-
-class TestEscapeHatch:
-    def test_set_transform_fast_round_trips(self):
-        original = transform_fast_enabled()
-        try:
-            assert set_transform_fast(False) == original
-            assert transform_fast_enabled() is False
-            assert set_transform_fast(True) is False
-            assert transform_fast_enabled() is True
-        finally:
-            set_transform_fast(original)
-
-    def test_legacy_driver_still_repairs(self, swap_env):
-        """The escape hatch runs the recursive driver end to end."""
-        config = _fresh_config(swap_env)
-        term = swap_env.constant("rev_app_distr").body
-        fast = _run_driver(swap_env, config, term, fast=True)
-        legacy = _run_driver(swap_env, config, term, fast=False)
-        assert fast[0] == legacy[0] == "ok"
-        assert _same_output(fast[1], legacy[1])
