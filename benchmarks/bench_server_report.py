@@ -12,10 +12,10 @@ Phases (shared schema, :mod:`report_schema`)::
 
 ``server/load`` is the tentpole measurement: ``--clients`` (default
 200) threads each issue ``--requests-per-client`` (default 3) repair
-POSTs against the 4-worker pool; per-request latencies feed a
-:class:`repro.obs.Histogram` whose interpolated p50/p95/p99 land in the
-phase entry, alongside throughput.  Three gates fail the bench outright
-rather than writing a report:
+POSTs against the 4-worker pool; every request latency is kept, and the
+p50/p95/p99 computed exactly from those samples (:func:`quantile`) land
+in the phase entry, alongside throughput.  Three gates fail the bench
+outright rather than writing a report:
 
 * **zero dropped-without-429** — every request must receive an HTTP
   response; transport errors (connection refused/reset, short reads)
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import subprocess
 import sys
@@ -51,11 +52,9 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from report_schema import make_report, write_report
-
-from repro.obs import Histogram
 
 QUICKSTART_SPEC = {
     "name": "quickstart/rev_app_distr",
@@ -132,29 +131,44 @@ def _spawn_server(store_dir: str, workers: int) -> Tuple[Any, int]:
     return process, int(info["port"])
 
 
+def quantile(samples: Sequence[float], percentile: float) -> float:
+    """The ``percentile`` (0..100) of ``samples``, interpolating linearly
+    between the two closest ranks of the sorted samples."""
+    if not samples:
+        raise ValueError("quantile of no samples")
+    ordered = sorted(samples)
+    rank = (len(ordered) - 1) * percentile / 100.0
+    below = math.floor(rank)
+    above = min(below + 1, len(ordered) - 1)
+    return ordered[below] + (rank - below) * (ordered[above] - ordered[below])
+
+
 def _percentile_entry(
-    hist: Histogram, wall: float, count: int, workers: int
+    samples: Sequence[float], wall: float, workers: int
 ) -> Dict[str, Any]:
+    """A phase entry: wall, count, throughput and exact latency quantiles."""
     entry: Dict[str, Any] = {
         "wall_time_s": round(wall, 6),
-        "count": count,
+        "count": len(samples),
         "workers": workers,
-        "throughput_rps": round(count / max(wall, 1e-9), 2),
+        "throughput_rps": round(len(samples) / max(wall, 1e-9), 2),
     }
-    for name, value in hist.percentiles().items():
-        entry[f"latency_{name}_s"] = value
+    for percentile in (50, 95, 99):
+        entry[f"latency_p{percentile}_s"] = round(
+            quantile(samples, percentile), 6
+        )
     return entry
 
 
 def _drive_load(
     port: int, clients: int, per_client: int
-) -> Tuple[Histogram, float, Dict[int, int], List[str]]:
+) -> Tuple[List[float], float, Dict[int, int], List[str]]:
     """``clients`` threads, ``per_client`` repair POSTs each.
 
-    Returns the latency histogram, the total wall time, a status-code
-    tally, and every drop/shed protocol violation seen.
+    Returns every answered request's latency, the total wall time, a
+    status-code tally, and every drop/shed protocol violation seen.
     """
-    hist = Histogram()
+    latencies: List[float] = []
     statuses: Dict[int, int] = {}
     problems: List[str] = []
     lock = threading.Lock()
@@ -172,8 +186,9 @@ def _drive_load(
                 with lock:
                     problems.append(str(exc))
                 continue
-            hist.observe(time.monotonic() - began)
+            elapsed = time.monotonic() - began
             with lock:
+                latencies.append(elapsed)
                 statuses[status] = statuses.get(status, 0) + 1
                 if status in SHED_STATUSES:
                     lowered = {k.lower() for k in headers}
@@ -200,12 +215,12 @@ def _drive_load(
     for thread in threads:
         thread.join(timeout=600)
     wall = time.monotonic() - began
-    return hist, wall, statuses, problems
+    return latencies, wall, statuses, problems
 
 
-def _drive_sessions(port: int, sessions: int) -> Tuple[Histogram, float]:
+def _drive_sessions(port: int, sessions: int) -> Tuple[List[float], float]:
     """Concurrent named sessions: create, one Repair command, close."""
-    hist = Histogram()
+    latencies: List[float] = []
     errors: List[str] = []
     lock = threading.Lock()
 
@@ -231,7 +246,9 @@ def _drive_sessions(port: int, sessions: int) -> Tuple[Histogram, float]:
             with lock:
                 errors.append(str(exc))
             return
-        hist.observe(time.monotonic() - began)
+        elapsed = time.monotonic() - began
+        with lock:
+            latencies.append(elapsed)
 
     threads = [
         threading.Thread(target=client, args=(i,), daemon=True)
@@ -247,7 +264,7 @@ def _drive_sessions(port: int, sessions: int) -> Tuple[Histogram, float]:
         raise RuntimeError(
             "session round trips failed: " + "; ".join(errors[:5])
         )
-    return hist, wall
+    return latencies, wall
 
 
 def _expected_digest() -> str:
@@ -301,7 +318,7 @@ def build_report(
             }
 
             # -- server/load: the concurrent-clients tentpole.
-            hist, wall, statuses, problems = _drive_load(
+            latencies, wall, statuses, problems = _drive_load(
                 port, clients, per_client
             )
             if problems:
@@ -310,11 +327,11 @@ def build_report(
                     "load: " + "; ".join(problems[:5])
                 )
             total = clients * per_client
-            if hist.count != total:
+            if len(latencies) != total:
                 raise RuntimeError(
-                    f"only {hist.count}/{total} requests completed"
+                    f"only {len(latencies)}/{total} requests completed"
                 )
-            entry = _percentile_entry(hist, wall, total, workers)
+            entry = _percentile_entry(latencies, wall, workers)
             entry["clients"] = clients
             entry["cache_hit_rates"] = {"store": 1.0}
             phases["server/load"] = entry
@@ -323,9 +340,10 @@ def build_report(
             }
 
             # -- server/sessions: concurrent persistent-session traffic.
-            shist, swall = _drive_sessions(port, sessions)
-            sentry = _percentile_entry(shist, swall, sessions, workers)
-            phases["server/sessions"] = sentry
+            slatencies, swall = _drive_sessions(port, sessions)
+            phases["server/sessions"] = _percentile_entry(
+                slatencies, swall, workers
+            )
 
             # -- server/async: the 202 + poll path through the queue.
             began = time.monotonic()

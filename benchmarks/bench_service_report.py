@@ -12,7 +12,6 @@ Phases (shared schema, :mod:`report_schema`)::
     cold/jobs1, cold/jobs2, cold/jobs4   # fresh store, subprocess workers
     warm/jobs1                           # same store as cold/jobs1 => cached
     cold_start/scratch                   # storeless batch, scratch boots
-    cold_start/snapshot                  # same batch, snapshot-pack boots
     warm_pool/cold                       # persistent pool, first (boot) pass
     warm_pool/jobs1, /jobs2, /jobs4      # same pool, every env resident
 
@@ -26,14 +25,10 @@ hard: every job must report ``env_boot == "warm"``, every
 twin, and its wall time must be at most ``--max-warm-pool-ratio``
 (default 0.5) of ``cold_start/scratch`` — both sides serial, so this
 gate holds on single-core boxes too.
-The ``cold_start`` pair measures worker environment boots in isolation:
-both run the identical eight-job batch through subprocess workers with
-no result store, differing only in whether a snapshot pack (see
-:mod:`repro.kernel.snapshot`) is on offer.  The snapshot run fails hard
-unless every job actually booted from the pack *and* produced the same
-``result_digest`` as its scratch twin — the bench is also the
-byte-identity gate — and unless the snapshot batch beat the scratch one
-(``--max-snapshot-ratio``, default 1.0: at minimum, never slower).
+``cold_start/scratch`` runs the same eight-job batch through one
+subprocess worker per job with no result store: every job elaborates
+its environment from scratch, which is the reference both the ratio
+gate and the digest-parity gate compare the warm pool against.
 The run fails when ``cold/jobs4`` is not at least ``--max-ratio`` (default
 0.8) of ``cold/jobs1`` — parallel dispatch must actually buy wall time —
 or when a single service job's repair output is not byte-identical to the
@@ -112,55 +107,24 @@ def _require_ok(report: Any, what: str) -> None:
 
 
 def _run_cold_start(
-    jobs: List[Any], tmp: str
+    jobs: List[Any],
 ) -> Tuple[Dict[str, Dict[str, Any]], Dict[str, str]]:
-    """The ``cold_start/*`` phases: scratch vs snapshot worker boots.
+    """The ``cold_start/scratch`` phase: one scratch-booted worker per job.
 
-    Also returns the per-job scratch ``result_digest`` table — the
-    reference the ``warm_pool`` parity gate compares against.
+    Also returns the per-job ``result_digest`` table — the reference
+    the ``warm_pool`` parity gate compares against.
     """
     from repro.service.job import result_digest
-    from repro.service.warmup import ensure_batch_snapshot
 
-    snap = f"{tmp}/six_cases.snap"
-    ensure_batch_snapshot(jobs, snap)
-    runs: Dict[str, Any] = {}
-    for mode, snapshot in (("scratch", None), ("snapshot", snap)):
-        report = run_batch(
-            jobs,
-            BatchOptions(
-                jobs=1, timeout_s=600, backoff_s=0.0, snapshot=snapshot
-            ),
-            runner=subprocess_runner(snapshot=snapshot),
-            batch=f"six-cases/cold_start-{mode}",
-        )
-        _require_ok(report, f"cold_start/{mode}")
-        runs[mode] = report
-    boots = {
-        o.job.name: o.result.get("env_boot")
-        for o in runs["snapshot"].outcomes
-    }
-    not_warm = sorted(n for n, b in boots.items() if b != "snapshot")
-    if not_warm:
-        raise RuntimeError(
-            "cold_start/snapshot jobs booted from scratch despite the "
-            "pack: " + ", ".join(not_warm)
-        )
-    for cold, hot in zip(runs["scratch"].outcomes, runs["snapshot"].outcomes):
-        if result_digest(cold.result) != result_digest(hot.result):
-            raise RuntimeError(
-                f"snapshot boot changed the repair output of "
-                f"{cold.job.name} — scratch and snapshot digests differ"
-            )
-    phases = {
-        f"cold_start/{mode}": _phase(report, 1)
-        for mode, report in runs.items()
-    }
-    digests = {
-        o.job.name: result_digest(o.result)
-        for o in runs["scratch"].outcomes
-    }
-    return phases, digests
+    report = run_batch(
+        jobs,
+        BatchOptions(jobs=1, timeout_s=600, backoff_s=0.0),
+        runner=subprocess_runner(),
+        batch="six-cases/cold_start-scratch",
+    )
+    _require_ok(report, "cold_start/scratch")
+    digests = {o.job.name: result_digest(o.result) for o in report.outcomes}
+    return {"cold_start/scratch": _phase(report, 1)}, digests
 
 
 def _run_warm_pool(
@@ -294,7 +258,7 @@ def build_report() -> Tuple[dict, dict]:
             )
         entry = _phase(warm, 1)
         phases["warm/jobs1"] = entry
-        cold_start_phases, scratch_digests = _run_cold_start(jobs, tmp)
+        cold_start_phases, scratch_digests = _run_cold_start(jobs)
         phases.update(cold_start_phases)
         warm_pool_phases, pool_stats = _run_warm_pool(jobs, scratch_digests)
         phases.update(warm_pool_phases)
@@ -305,11 +269,6 @@ def build_report() -> Tuple[dict, dict]:
     }
     scaling["warm_vs_cold_jobs1"] = round(
         phases["warm/jobs1"]["wall_time_s"] / max(walls[1], 1e-9), 4
-    )
-    scaling["snapshot_vs_scratch"] = round(
-        phases["cold_start/snapshot"]["wall_time_s"]
-        / max(phases["cold_start/scratch"]["wall_time_s"], 1e-9),
-        4,
     )
     # Warm pool vs the per-attempt subprocess mode, both serial and
     # storeless — the amortization the pool exists to buy.
@@ -354,14 +313,6 @@ def main(argv) -> int:
         "(0 disables the check; default: 0.8)",
     )
     parser.add_argument(
-        "--max-snapshot-ratio",
-        type=float,
-        default=1.0,
-        help="fail when cold_start/snapshot exceeds this fraction of "
-        "cold_start/scratch (0 disables the check; default: 1.0 — a "
-        "snapshot boot must never lose to a scratch boot)",
-    )
-    parser.add_argument(
         "--max-warm-pool-ratio",
         type=float,
         default=0.5,
@@ -396,15 +347,6 @@ def main(argv) -> int:
         print(
             f"bench_service_report: cold/jobs4 is {ratio}x of cold/jobs1 "
             f"(limit {args.max_ratio}) — the pool is not scaling",
-            file=sys.stderr,
-        )
-        return 1
-    snap_ratio = scaling["snapshot_vs_scratch"]
-    if args.max_snapshot_ratio and snap_ratio > args.max_snapshot_ratio:
-        print(
-            f"bench_service_report: cold_start/snapshot is {snap_ratio}x "
-            f"of cold_start/scratch (limit {args.max_snapshot_ratio}) — "
-            "snapshot boots are not paying for themselves",
             file=sys.stderr,
         )
         return 1

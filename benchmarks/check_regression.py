@@ -18,7 +18,7 @@ phase and exits non-zero when the fresh run regressed:
   only warn;
 * **required phases** — ``--require-phase NAME`` (repeatable) fails
   when the *current* report lacks ``NAME`` even if the baseline never
-  carried it, so a brand-new phase family (e.g. ``cold_start/snapshot``)
+  carried it, so a brand-new phase (e.g. ``warm_pool/jobs1``)
   is pinned into existence the moment its gate lands in CI.  ``NAME``
   may be a shell-style glob (``impact/*``): the gate then requires at
   least one matching phase.
@@ -27,7 +27,7 @@ Usage::
 
     python benchmarks/check_regression.py CURRENT.json BASELINE.json \
         [--tolerance 0.25] [--hit-rate-drop 0.10] [--min-seconds 0.05] \
-        [--require-phase cold_start/snapshot]
+        [--require-phase warm_pool/jobs1]
 """
 
 from __future__ import annotations

@@ -296,47 +296,6 @@ class Environment:
         self._mutated()
         return added
 
-    # -- Restore ------------------------------------------------------------
-
-    @staticmethod
-    def from_parts(
-        decls: Iterable[object],
-        reduction_cache: Optional[bool] = None,
-    ) -> "Environment":
-        """Rebuild an environment from already-checked declarations.
-
-        ``decls`` is a sequence of :class:`ConstantDecl` and
-        :class:`~repro.kernel.inductive.InductiveDecl` in declaration
-        order.  Nothing is re-elaborated: constants are inserted without
-        ``infer``/``check`` and inductives without positivity checks or
-        recursor derivation (the ``<name>_rect`` constant a
-        ``declare_inductive`` would synthesize must appear in ``decls``
-        itself, which is how :mod:`repro.kernel.snapshot` serializes
-        it).  Callers own the well-typedness invariant — the only
-        intended producer is snapshot restore, whose inputs were checked
-        when the snapshot was built.
-        """
-        env = Environment(reduction_cache=reduction_cache)
-        for decl in decls:
-            if isinstance(decl, ConstantDecl):
-                name = decl.name
-                if name in env._constants or name in env._inductives:
-                    raise EnvError(f"duplicate global {name!r}")
-                env._constants[name] = decl
-            elif isinstance(decl, InductiveDecl):
-                name = decl.name
-                if name in env._constants or name in env._inductives:
-                    raise EnvError(f"duplicate global {name!r}")
-                env._inductives[name] = decl
-            else:
-                raise EnvError(
-                    f"from_parts: expected ConstantDecl or InductiveDecl, "
-                    f"got {type(decl).__name__}"
-                )
-            env._decl_order.append(name)
-            env._mutated()
-        return env
-
     # -- Declaration --------------------------------------------------------
 
     def declare_inductive(

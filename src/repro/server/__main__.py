@@ -61,12 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound the store to N records (LRU eviction)",
     )
     parser.add_argument(
-        "--snapshot",
-        default=None,
-        metavar="PATH",
-        help="warm-start workers and sessions from this snapshot pack",
-    )
-    parser.add_argument(
         "--max-sessions",
         type=int,
         default=DEFAULT_MAX_SESSIONS,
@@ -146,7 +140,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         store_dir=args.store,
         store=not args.no_store,
         store_max_entries=args.store_max_entries,
-        snapshot=args.snapshot,
         max_sessions=args.max_sessions,
         idle_ttl_s=args.idle_ttl,
         rate=args.rate,

@@ -93,7 +93,6 @@ class ServerConfig:
     store: bool = True
     #: LRU bound on stored records; ``None`` means unbounded.
     store_max_entries: Optional[int] = None
-    snapshot: Optional[str] = None
     max_sessions: int = DEFAULT_MAX_SESSIONS
     idle_ttl_s: float = DEFAULT_IDLE_TTL_S
     busy_timeout_s: float = DEFAULT_BUSY_TIMEOUT_S
@@ -206,7 +205,6 @@ class RepairApp:
             max_sessions=self.config.max_sessions,
             idle_ttl_s=self.config.idle_ttl_s,
             busy_timeout_s=self.config.busy_timeout_s,
-            snapshot=self.config.snapshot,
         )
         self.store: Optional[ResultStore] = (
             ResultStore(
@@ -219,14 +217,10 @@ class RepairApp:
         self.pool: Optional[WorkerPool] = None
         self._runner: Runner
         if self.config.workers > 1:
-            self.pool = WorkerPool(
-                self.config.workers, snapshot=self.config.snapshot
-            )
+            self.pool = WorkerPool(self.config.workers)
             self._runner = self.pool.runner()
         else:
-            self._runner = inprocess_runner(
-                snapshot=self.config.snapshot
-            )
+            self._runner = inprocess_runner()
         self.queue = JobQueue(
             self._execute_work,
             max_pending=self.config.queue_pending,
@@ -468,7 +462,6 @@ class RepairApp:
             retries=retries,
             refresh=refresh,
             store=self.store,
-            snapshot=self.config.snapshot,
         )
 
     def _parse_repair(

@@ -21,9 +21,8 @@ stays a thin adapter:
   every create).  A session whose lock is held is never evicted, no
   matter how old its timestamp — in-flight work wins.
 
-Sessions boot through :func:`repro.service.worker.boot_environment`,
-so a snapshot pack configured on the server warm-starts them exactly
-like it warm-starts pool workers.
+Sessions boot through :func:`repro.service.worker.build_environment`,
+the same scratch elaboration pool workers run.
 """
 
 from __future__ import annotations
@@ -31,10 +30,10 @@ from __future__ import annotations
 import re
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..commands import CommandError, CommandSession
-from ..service.worker import boot_environment
+from ..service.worker import build_environment
 
 #: Default bound on live sessions.
 DEFAULT_MAX_SESSIONS = 32
@@ -65,12 +64,11 @@ class ManagedSession:
     """One named session plus its lock and lifetime bookkeeping."""
 
     def __init__(
-        self, name: str, setup: str, session: CommandSession, boot: str
+        self, name: str, setup: str, session: CommandSession
     ) -> None:
         self.name = name
         self.setup = setup
         self.session = session
-        self.boot = boot
         self.lock = threading.Lock()
         self.created = time.time()
         self.last_used = time.monotonic()
@@ -81,7 +79,7 @@ class ManagedSession:
         return {
             "name": self.name,
             "setup": self.setup,
-            "env_boot": self.boot,
+            "env_boot": "scratch",
             "created_at": self.created,
             "idle_s": round(max(0.0, now - self.last_used), 3),
             "commands": self.commands,
@@ -96,18 +94,10 @@ class SessionManager:
         max_sessions: int = DEFAULT_MAX_SESSIONS,
         idle_ttl_s: float = DEFAULT_IDLE_TTL_S,
         busy_timeout_s: float = DEFAULT_BUSY_TIMEOUT_S,
-        snapshot: Optional[str] = None,
-        boot: Optional[Callable[[str], Tuple[Any, str]]] = None,
     ) -> None:
         self.max_sessions = max(1, int(max_sessions))
         self.idle_ttl_s = float(idle_ttl_s)
         self.busy_timeout_s = float(busy_timeout_s)
-        self._snapshot = snapshot
-        # Injectable boot for tests; the default goes through the same
-        # snapshot-or-scratch path pool workers use.
-        self._boot = boot or (
-            lambda setup: boot_environment(setup, self._snapshot)
-        )
         # ``None`` marks a slot reserved by an in-flight create (the
         # boot happens outside the table lock).
         self._table: Dict[str, Optional[ManagedSession]] = {}
@@ -146,9 +136,8 @@ class SessionManager:
             # creates of one name cannot both pass the table check.
             self._table[name] = None
         try:
-            env, boot = self._boot(setup)
             managed = ManagedSession(
-                name, setup, CommandSession(env), boot
+                name, setup, CommandSession(build_environment(setup))
             )
         except BaseException:
             with self._lock:

@@ -107,16 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="launch one hermetic worker subprocess per attempt instead",
     )
     parser.add_argument(
-        "--snapshot",
-        default=None,
-        metavar="PATH",
-        help=(
-            "boot workers from this snapshot pack (see python -m "
-            "repro.kernel.snapshot); built once per batch when missing "
-            "or stale"
-        ),
-    )
-    parser.add_argument(
         "--fault-plan",
         default=None,
         metavar="JSON",
@@ -215,15 +205,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.no_store
         else ResultStore(args.store, max_entries=args.store_max_entries)
     )
-    if args.snapshot:
-        from ..kernel.snapshot import SnapshotError
-        from .warmup import ensure_batch_snapshot
-
-        try:
-            ensure_batch_snapshot(jobs, args.snapshot)
-        except (SnapshotError, JobError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     if args.impact and args.no_impact:
         parser.error("--impact and --no-impact are mutually exclusive")
     from .planner import (
@@ -258,7 +239,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         refresh=args.refresh,
         store=store,
         fault_plan=fault_plan,
-        snapshot=args.snapshot,
         impact=impact if impact_mode == MODE_PRUNE else None,
         pool=args.pool,
     )

@@ -1,16 +1,11 @@
 """Injectable fault hooks, used by the tests to prove fault tolerance.
 
 Workers consult :func:`injected_kind` at the start of every attempt.
-Faults come from two sources, both deterministic so failures reproduce:
-
-* :class:`FaultPlan` — an explicit ``target -> {attempt: kind}`` table,
-  passed programmatically (``BatchOptions.fault_plan``) or through the
-  ``REPRO_FAULT_PLAN`` environment variable as JSON, e.g.
-  ``{"add": {"0": "crash"}}`` crashes the first attempt at repairing
-  ``add`` and lets the retry through.
-* ``REPRO_FAULT_RATE`` — a probability in ``[0, 1]``; each (target,
-  attempt) pair is hashed to decide whether it crashes, so a given rate
-  always kills the same attempts.
+Faults come from a :class:`FaultPlan` — an explicit, deterministic
+``target -> {attempt: kind}`` table, passed programmatically
+(``BatchOptions.fault_plan``) or through the ``REPRO_FAULT_PLAN``
+environment variable as JSON, e.g. ``{"add": {"0": "crash"}}`` crashes
+the first attempt at repairing ``add`` and lets the retry through.
 
 Kinds: ``crash`` (the worker process dies with :data:`CRASH_EXIT_CODE`,
 no output), ``error`` (a retryable :class:`FaultInjected` is raised),
@@ -19,7 +14,6 @@ no output), ``error`` (a retryable :class:`FaultInjected` is raised),
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -28,9 +22,6 @@ from typing import Dict, Mapping, Optional
 
 #: Environment variable carrying a JSON fault plan.
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
-
-#: Environment variable carrying a crash probability in [0, 1].
-FAULT_RATE_ENV = "REPRO_FAULT_RATE"
 
 #: Exit code of a crash-injected worker (distinguishable from Python
 #: tracebacks, which exit 1).
@@ -99,42 +90,18 @@ class FaultPlan:
         return FaultPlan.from_json(raw)
 
 
-def fault_rate() -> float:
-    """The ``REPRO_FAULT_RATE`` probability (0.0 when unset/invalid)."""
-    raw = os.environ.get(FAULT_RATE_ENV, "")
-    if not raw:
-        return 0.0
-    try:
-        rate = float(raw)
-    except ValueError:
-        return 0.0
-    return min(max(rate, 0.0), 1.0)
-
-
-def _hash_unit(target: str, attempt: int) -> float:
-    """A deterministic value in [0, 1) for one (target, attempt) pair."""
-    digest = hashlib.sha256(f"{target}:{attempt}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") / float(1 << 64)
-
-
 def injected_kind(
     target: str, attempt: int, plan: Optional[FaultPlan] = None
 ) -> Optional[str]:
     """The fault to inject for this attempt, if any.
 
-    An explicit plan (argument, else ``REPRO_FAULT_PLAN``) wins; the
-    rate-based hook applies otherwise.
+    The plan is the argument, else ``REPRO_FAULT_PLAN``.
     """
     if plan is None:
         plan = FaultPlan.from_env()
-    if plan is not None:
-        kind = plan.kind_for(target, attempt)
-        if kind is not None:
-            return kind
-    rate = fault_rate()
-    if rate > 0.0 and _hash_unit(target, attempt) < rate:
-        return "crash"
-    return None
+    if plan is None:
+        return None
+    return plan.kind_for(target, attempt)
 
 
 def inject(

@@ -84,9 +84,9 @@ def result_digest(result: Dict[str, Any]) -> str:
     """SHA-256 over a result record's *stable* fields (canonical JSON).
 
     Two runs of one job must produce the same digest regardless of
-    wall time, cache weather, or whether the worker booted from a
-    snapshot — the scratch-vs-snapshot byte-identity gate compares
-    these.
+    wall time, cache weather, or whether the worker's environment was
+    booted for this job or kept warm from an earlier one — the
+    pool-vs-subprocess digest-parity gates compare these.
     """
     stable = {
         key: value

@@ -126,10 +126,7 @@ def default_max_jobs() -> int:
     return value if value >= 1 else DEFAULT_MAX_JOBS
 
 
-def worker_environ(
-    fault_plan: Optional[FaultPlan] = None,
-    snapshot: Optional[str] = None,
-) -> Dict[str, str]:
+def worker_environ(fault_plan: Optional[FaultPlan] = None) -> Dict[str, str]:
     """The environment for a worker subprocess: import path + knobs."""
     import repro
 
@@ -142,8 +139,6 @@ def worker_environ(
     environ["PYTHONPATH"] = os.pathsep.join(parts)
     if fault_plan is not None:
         environ["REPRO_FAULT_PLAN"] = fault_plan.to_env()
-    if snapshot is not None:
-        environ["REPRO_SNAPSHOT"] = snapshot
     return environ
 
 
@@ -171,14 +166,9 @@ def kill_process_group(process: "subprocess.Popen[Any]") -> None:
 class PoolWorker:
     """One live ``--serve`` worker process plus its framed streams."""
 
-    def __init__(
-        self, environ: Dict[str, str], snapshot: Optional[str] = None
-    ) -> None:
-        args = [sys.executable, "-m", "repro.service.worker", "--serve"]
-        if snapshot is not None:
-            args.extend(["--snapshot", snapshot])
+    def __init__(self, environ: Dict[str, str]) -> None:
         self.process: "subprocess.Popen[bytes]" = subprocess.Popen(
-            args,
+            [sys.executable, "-m", "repro.service.worker", "--serve"],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -277,7 +267,6 @@ class WorkerPool:
         self,
         width: int,
         fault_plan: Optional[FaultPlan] = None,
-        snapshot: Optional[str] = None,
         max_jobs_per_worker: Optional[int] = None,
     ) -> None:
         self.width = max(1, int(width))
@@ -286,8 +275,7 @@ class WorkerPool:
             if max_jobs_per_worker and max_jobs_per_worker >= 1
             else default_max_jobs()
         )
-        self._snapshot = snapshot
-        self._environ = worker_environ(fault_plan, snapshot)
+        self._environ = worker_environ(fault_plan)
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._idle: Deque[PoolWorker] = deque()
@@ -325,7 +313,7 @@ class WorkerPool:
                     break
                 self._cond.wait()
         try:
-            worker = PoolWorker(self._environ, self._snapshot)
+            worker = PoolWorker(self._environ)
         except BaseException:
             with self._cond:
                 self._live -= 1
@@ -443,8 +431,6 @@ class WorkerPool:
                 "payload": payload,
                 "attempt": attempt,
             }
-            if self._snapshot is not None:
-                request["snapshot"] = self._snapshot
             try:
                 reply = worker.request(request, deadline)
             except FrameTimeout:

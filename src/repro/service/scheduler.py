@@ -109,9 +109,6 @@ class BatchOptions:
     refresh: bool = False
     store: Optional[ResultStore] = None
     fault_plan: Optional[FaultPlan] = None
-    #: Snapshot pack for warm-starting workers (see
-    #: :mod:`repro.kernel.snapshot`); None disables snapshot boots.
-    snapshot: Optional[str] = None
     #: Change-impact plans for the batch (see
     #: :mod:`repro.service.planner`); when set, jobs whose targets the
     #: plan certifies ``unaffected`` complete as ``skipped-unaffected``
@@ -306,10 +303,7 @@ def _job_alarm(timeout_s: Optional[float]) -> Iterator[None]:
         signal.signal(signal.SIGALRM, previous)
 
 
-def inprocess_runner(
-    fault_plan: Optional[FaultPlan] = None,
-    snapshot: Optional[str] = None,
-) -> Runner:
+def inprocess_runner(fault_plan: Optional[FaultPlan] = None) -> Runner:
     """The deterministic in-process executor (``--jobs 1`` and tests)."""
     from .worker import run_job
 
@@ -323,21 +317,12 @@ def inprocess_runner(
             attempt=attempt,
         ):
             with _job_alarm(timeout_s):
-                return run_job(
-                    payload,
-                    attempt,
-                    fault_plan,
-                    in_process=True,
-                    snapshot=snapshot,
-                )
+                return run_job(payload, attempt, fault_plan, in_process=True)
 
     return run
 
 
-def subprocess_runner(
-    fault_plan: Optional[FaultPlan] = None,
-    snapshot: Optional[str] = None,
-) -> Runner:
+def subprocess_runner(fault_plan: Optional[FaultPlan] = None) -> Runner:
     """One hermetic worker subprocess per attempt.
 
     Crash isolation is the point: a worker that dies (injected crash,
@@ -350,15 +335,12 @@ def subprocess_runner(
     :mod:`repro.service.proto`); stray prints — even ``{``-prefixed
     ones — are protocol noise, never mistaken for the result.
     """
-    environ = worker_environ(fault_plan, snapshot)
+    environ = worker_environ(fault_plan)
 
     def run(
         payload: Dict[str, Any], attempt: int, timeout_s: Optional[float]
     ) -> Dict[str, Any]:
-        envelope: Dict[str, Any] = {"payload": payload, "attempt": attempt}
-        if snapshot is not None:
-            envelope["snapshot"] = snapshot
-        request = json.dumps(envelope)
+        request = json.dumps({"payload": payload, "attempt": attempt})
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.service.worker"],
             stdin=subprocess.PIPE,
@@ -510,14 +492,12 @@ def run_batch(
     worker_pool: Optional[WorkerPool] = None
     if runner is None:
         if options.jobs > 1 and options.pool:
-            worker_pool = WorkerPool(
-                options.jobs, options.fault_plan, options.snapshot
-            )
+            worker_pool = WorkerPool(options.jobs, options.fault_plan)
             runner = worker_pool.runner()
         elif options.jobs > 1:
-            runner = subprocess_runner(options.fault_plan, options.snapshot)
+            runner = subprocess_runner(options.fault_plan)
         else:
-            runner = inprocess_runner(options.fault_plan, options.snapshot)
+            runner = inprocess_runner(options.fault_plan)
     state = _BatchState(list(jobs))
     store = options.store
     report = BatchReport(batch=batch, jobs=options.jobs)

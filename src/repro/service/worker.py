@@ -33,7 +33,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..core.config import ConfigError, Configuration
 from ..core.repair import RepairError, RepairSession
@@ -45,18 +45,10 @@ from . import faults
 from .job import LIVE_SETUP, SCHEMA_VERSION, JobError
 from .proto import read_frames, write_frame
 
-#: Environment variable naming a snapshot pack to boot from.
-SNAPSHOT_ENV_VAR = "REPRO_SNAPSHOT"
-
 #: Test hook: when set, the worker prints this string to stdout (once
 #: before and once after its record) to simulate a noisy worker whose
 #: diagnostics interleave with the protocol stream.
 NOISE_ENV_VAR = "REPRO_WORKER_NOISE"
-
-
-def default_snapshot() -> Optional[str]:
-    """``$REPRO_SNAPSHOT`` when set and non-empty, else None."""
-    return os.environ.get(SNAPSHOT_ENV_VAR) or None
 
 
 def resolve_ref(ref: str) -> Any:
@@ -92,35 +84,6 @@ def build_environment(setup: str) -> Environment:
             "not an Environment"
         )
     return env
-
-
-def boot_environment(
-    setup: str, snapshot: Optional[str] = None
-) -> Tuple[Environment, str]:
-    """Build a job's environment, from a snapshot pack when possible.
-
-    Returns ``(env, boot)`` where ``boot`` is ``"snapshot"`` or
-    ``"scratch"``.  The snapshot path is honoured only when the pack
-    loads cleanly, carries an entry for ``setup``, *and* that entry's
-    fingerprint matches the setup module's current source — any
-    mismatch, corruption, or missing file falls back to a scratch boot
-    (refuse-don't-crash: a stale or damaged snapshot can cost time,
-    never correctness).
-    """
-    path = snapshot if snapshot is not None else default_snapshot()
-    if path:
-        from ..kernel.snapshot import SnapshotError, load_snapshot_cached
-
-        try:
-            entry = load_snapshot_cached(path).get(setup)
-            if entry is not None:
-                from .job import fingerprint_source
-
-                if entry.fingerprint == fingerprint_source(setup):
-                    return entry.build_env(), "snapshot"
-        except (SnapshotError, JobError):
-            pass
-    return build_environment(setup), "scratch"
 
 
 def build_config(env: Environment, spec: Dict[str, Any]) -> Configuration:
@@ -253,13 +216,11 @@ def build_record(
     }
 
 
-def execute_job(
-    payload: Dict[str, Any], snapshot: Optional[str] = None
-) -> Dict[str, Any]:
+def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Run one repair job against a freshly built environment."""
     started = time.perf_counter()
     before = _stats_snapshot()
-    env, boot = boot_environment(payload["setup"], snapshot)
+    env = build_environment(payload["setup"])
     config = build_config(env, payload["config"])
     session = RepairSession(
         env,
@@ -272,7 +233,7 @@ def execute_job(
         payload["target"], new_name=payload.get("new_name")
     )
     record = build_record(env, session, result, before, started)
-    record["env_boot"] = boot
+    record["env_boot"] = "scratch"
     return record
 
 
@@ -289,9 +250,6 @@ class Resident:
     #: frozen) can no longer rebuild it honestly.
     fingerprint: str
     env: Environment
-    #: How the environment was first built (``snapshot``/``scratch``) —
-    #: only the boot job reports it; reuse jobs report ``warm``.
-    boot: str
     jobs: int = 0
 
 
@@ -300,9 +258,7 @@ class StaleEnvironment(Exception):
 
 
 def execute_warm(
-    residents: Dict[str, Resident],
-    payload: Dict[str, Any],
-    snapshot: Optional[str] = None,
+    residents: Dict[str, Resident], payload: Dict[str, Any]
 ) -> Dict[str, Any]:
     """Run one job against a resident environment, booting on first use.
 
@@ -324,10 +280,9 @@ def execute_warm(
     started = time.perf_counter()
     before = _stats_snapshot()
     if entry is None:
-        env, boot = boot_environment(setup, snapshot)
-        entry = Resident(fingerprint=claimed, env=env, boot=boot)
+        entry = Resident(fingerprint=claimed, env=build_environment(setup))
         residents[setup] = entry
-        job_boot = boot
+        job_boot = "scratch"
     else:
         job_boot = "warm"
     env = entry.env
@@ -401,11 +356,10 @@ def run_job(
     attempt: int = 0,
     fault_plan: Optional[faults.FaultPlan] = None,
     in_process: bool = False,
-    snapshot: Optional[str] = None,
 ) -> Dict[str, Any]:
     """One hermetic attempt: rebuild the environment, then repair."""
     return attempt_job(
-        lambda: execute_job(payload, snapshot),
+        lambda: execute_job(payload),
         payload,
         attempt,
         fault_plan,
@@ -433,12 +387,12 @@ def _emit_record(record: Dict[str, Any]) -> None:
     _emit_noise()
 
 
-def serve(snapshot: Optional[str] = None) -> int:
+def serve() -> int:
     """Persistent worker body: framed requests in, framed replies out.
 
     Requests (one JSON object per frame on stdin):
 
-    * ``{"op": "job", "payload": .., "attempt": n, "snapshot": ..}`` —
+    * ``{"op": "job", "payload": .., "attempt": n}`` —
       run one job warm; replies ``{"op": "result", "record": ..}``, or
       ``{"op": "stale", "setup": ..}`` when the payload's env
       fingerprint no longer matches the resident boot (the pool retires
@@ -470,10 +424,9 @@ def serve(snapshot: Optional[str] = None) -> int:
             continue
         payload = request.get("payload") or {}
         attempt = int(request.get("attempt", 0))
-        job_snapshot = request.get("snapshot") or snapshot
         try:
             record = attempt_job(
-                lambda: execute_warm(residents, payload, job_snapshot),
+                lambda: execute_warm(residents, payload),
                 payload,
                 attempt,
                 faults.FaultPlan.from_env(),
@@ -493,24 +446,12 @@ def serve(snapshot: Optional[str] = None) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """Subprocess body: JSON payload on stdin, framed record on stdout.
 
-    The snapshot to boot from comes from (highest priority first) the
-    request envelope's ``snapshot`` field, a ``--snapshot PATH``
-    argument, or ``$REPRO_SNAPSHOT``.  With ``--serve``, runs the
-    persistent framed loop (:func:`serve`) instead of one job.
+    With ``--serve``, runs the persistent framed loop (:func:`serve`)
+    instead of one job.
     """
-    snapshot: Optional[str] = None
-    serve_mode = False
     args = list(argv) if argv is not None else sys.argv[1:]
-    while args:
-        arg = args.pop(0)
-        if arg == "--snapshot" and args:
-            snapshot = args.pop(0)
-        elif arg.startswith("--snapshot="):
-            snapshot = arg.split("=", 1)[1]
-        elif arg == "--serve":
-            serve_mode = True
-    if serve_mode:
-        return serve(snapshot)
+    if "--serve" in args:
+        return serve()
     raw = sys.stdin.read()
     try:
         envelope = json.loads(raw)
@@ -521,8 +462,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     payload = envelope.get("payload", envelope)
     attempt = int(envelope.get("attempt", 0))
-    snapshot = envelope.get("snapshot") or snapshot
-    record = run_job(payload, attempt, snapshot=snapshot)
+    record = run_job(payload, attempt)
     record["schema_version"] = SCHEMA_VERSION
     _emit_record(record)
     return 0

@@ -21,6 +21,7 @@ from repro.analysis.impact import (
     ImpactError,
     PlanStore,
     RepairPlan,
+    _six_case_setups,
     build_plan,
     ensure_plan,
     main,
@@ -235,3 +236,11 @@ class TestCli:
         second = json.loads(capsys.readouterr().out)
         assert first == second
         assert list(tmp_path.glob("*.json"))
+
+
+def test_six_case_setups_are_the_expected_shape():
+    setups = _six_case_setups()
+    assert len(setups) >= 6
+    for setup, old, allow in setups:
+        assert ":" in setup
+        assert old

@@ -1,0 +1,446 @@
+"""Kernel caches stay sound while a long-lived environment mutates.
+
+A warm, caches-on environment (hash consing, the de Bruijn memo tables
+and the reduction cache with its ``infer``/``check``/``conv`` verdicts)
+goes through seeded random runs of ``define``, ``redefine``,
+``remove``, ``checkpoint``, ``rollback`` and ``reduction_cache.clear()``
+— the history a warm pool worker or a server session puts an
+environment through.  After every step, random terms (from
+:mod:`tests.termgen` plus typed terms over the user constants) must get
+the same ``infer`` result, ``nf`` and ``conv`` verdicts, or the same
+error class, as in a cache-free reference: an environment built with
+every cache layer off, into which the model's current user declarations
+are replayed from scratch.
+
+Rollback follows its contract: a rollback succeeds exactly when no
+``redefine``/``remove`` happened since the mark, and restores the
+declarations the mark saw; it also invalidates every newer mark, which
+the model then forgets.  Generated bodies only mention user constants
+declared earlier, and ``remove`` only drops constants nothing else
+mentions, so no delta-unfolding can cycle.
+
+The warm side forces every cache on, so this suite means the same under
+``REPRO_DISABLE_KERNEL_CACHES=1``.  A failure names its seed and step.
+"""
+
+import random
+from contextlib import contextmanager
+
+import pytest
+
+from repro.kernel.context import Context
+from repro.kernel.convert import conv
+from repro.kernel.env import EnvError, set_reduction_cache_default
+from repro.kernel.pretty import pretty
+from repro.kernel.reduce import nf
+from repro.kernel.term import (
+    App,
+    Const,
+    Constr,
+    Elim,
+    Ind,
+    Lam,
+    Pi,
+    Rel,
+    Sort,
+    TermError,
+    set_hash_consing,
+    set_term_memo,
+)
+from repro.kernel.typecheck import infer
+from repro.stdlib import make_env
+from repro.syntax.parser import parse
+from tests.termgen import DEFAULT_CONSTS, random_term
+
+SEEDS = range(8)
+STEPS = 250
+NAMES = tuple(f"u{i}" for i in range(8))
+TYPES = {"nat": "nat", "fun": "nat -> nat", "bool": "bool", "type": "Set"}
+OPS = (
+    ("define", 4),
+    ("redefine", 1),
+    ("remove", 1),
+    ("checkpoint", 3),
+    ("rollback", 3),
+    ("clear", 1),
+)
+
+
+@contextmanager
+def kernel_caches(enabled):
+    """Switch every kernel cache layer on or off, restoring on exit."""
+    previous = (
+        set_hash_consing(enabled),
+        set_term_memo(enabled),
+        set_reduction_cache_default(enabled),
+    )
+    try:
+        yield
+    finally:
+        set_hash_consing(previous[0])
+        set_term_memo(previous[1])
+        set_reduction_cache_default(previous[2])
+
+
+def rebuild(term):
+    """A structurally equal copy built under the current cache switches."""
+    if isinstance(term, Rel):
+        return Rel(term.index)
+    if isinstance(term, Sort):
+        return Sort(term.level)
+    if isinstance(term, Const):
+        return Const(term.name)
+    if isinstance(term, Ind):
+        return Ind(term.name)
+    if isinstance(term, Constr):
+        return Constr(term.ind, term.index)
+    if isinstance(term, Lam):
+        return Lam(term.name, rebuild(term.domain), rebuild(term.body))
+    if isinstance(term, Pi):
+        return Pi(term.name, rebuild(term.domain), rebuild(term.codomain))
+    if isinstance(term, App):
+        return App(rebuild(term.fn), rebuild(term.arg))
+    return Elim(
+        term.ind,
+        rebuild(term.motive),
+        tuple(rebuild(case) for case in term.cases),
+        rebuild(term.scrut),
+    )
+
+
+# -- Typed source over the user constants -------------------------------------
+#
+# Values stay small by construction: only ``S`` and ``add _ 1`` grow a
+# numeral, function bodies mention no user constants, and the nat
+# eliminator's successor case never recurses additively.
+
+
+class Source:
+    """Random well-typed source text; records the user names it uses."""
+
+    def __init__(self, rng, visible):
+        self.rng = rng
+        #: kind -> user constant names usable at this point.
+        self.visible = visible
+        self.used = set()
+
+    def _const(self, kind):
+        name = self.rng.choice(self.visible[kind])
+        self.used.add(name)
+        return name
+
+    def nat(self, depth, scope=(), consts=True):
+        rng = self.rng
+        choices = ["lit"]
+        if scope:
+            choices.append("var")
+        if consts and self.visible["nat"]:
+            choices.append("const")
+        if depth > 0:
+            choices += ["S", "pred", "add1", "elim", "if"]
+            if consts and self.visible["fun"]:
+                choices.append("call")
+        kind = rng.choice(choices)
+        sub = depth - 1
+        if kind == "lit":
+            return str(rng.randrange(3))
+        if kind == "var":
+            return rng.choice(scope)
+        if kind == "const":
+            return self._const("nat")
+        if kind == "S":
+            return f"S ({self.nat(sub, scope, consts)})"
+        if kind == "pred":
+            return f"pred ({self.nat(sub, scope, consts)})"
+        if kind == "add1":
+            return f"add ({self.nat(sub, scope, consts)}) {rng.randrange(2)}"
+        if kind == "call":
+            return f"{self._const('fun')} ({self.nat(sub, scope, consts)})"
+        if kind == "if":
+            return (
+                f"Elim[bool]({self.bool(sub, scope, consts)}; "
+                f"fun (_ : bool) => nat){{ {self.nat(sub, scope, consts)}, "
+                f"{self.nat(sub, scope, consts)} }}"
+            )
+        step = rng.choice(["p", "IH", "S p"])
+        return (
+            f"Elim[nat]({self.nat(sub, scope, consts)}; "
+            f"fun (_ : nat) => nat){{ {self.nat(sub, scope, consts)}, "
+            f"fun (p : nat) (IH : nat) => {step} }}"
+        )
+
+    def bool(self, depth, scope=(), consts=True):
+        rng = self.rng
+        choices = ["lit"]
+        if consts and self.visible["bool"]:
+            choices.append("const")
+        if depth > 0:
+            choices += ["negb", "andb", "orb", "even"]
+        kind = rng.choice(choices)
+        sub = depth - 1
+        if kind == "lit":
+            return rng.choice(["true", "false"])
+        if kind == "const":
+            return self._const("bool")
+        if kind == "negb":
+            return f"negb ({self.bool(sub, scope, consts)})"
+        if kind in ("andb", "orb"):
+            return (
+                f"{kind} ({self.bool(sub, scope, consts)}) "
+                f"({self.bool(sub, scope, consts)})"
+            )
+        return (
+            f"Elim[nat]({self.nat(sub, scope, consts)}; "
+            "fun (_ : nat) => bool){ true, "
+            "fun (p : nat) (IH : bool) => negb IH }"
+        )
+
+    def body(self, kind):
+        rng = self.rng
+        if kind == "nat":
+            return self.nat(2)
+        if kind == "bool":
+            return self.bool(2)
+        if kind == "type":
+            if self.visible["type"] and rng.random() < 0.4:
+                return self._const("type")
+            return rng.choice(["nat", "bool"])
+        if self.visible["fun"] and rng.random() < 0.2:
+            return self._const("fun")
+        if rng.random() < 0.2:
+            return rng.choice(["pred", "S", "add 1"])
+        var = rng.choice(["x", "y", "n"])
+        return f"fun ({var} : nat) => {self.nat(2, (var,), consts=False)}"
+
+
+# -- The model ----------------------------------------------------------------
+
+
+class Model:
+    """The user declarations the warm environment should hold.
+
+    ``decls`` lists ``(name, kind, body, type, refs)`` in declaration
+    order, with the warm-side terms; ``marks`` pairs each live
+    checkpoint with the declarations and destructive-change count it
+    saw.
+    """
+
+    def __init__(self):
+        self.decls = []
+        self.marks = []
+        self.destructive = 0
+
+    def names(self):
+        return tuple(d[0] for d in self.decls)
+
+    def visible(self, before=None):
+        """kind -> names, optionally only those declared before ``before``."""
+        out = {kind: [] for kind in TYPES}
+        for name, kind, _body, _ty, _refs in self.decls:
+            if name == before:
+                break
+            out[kind].append(name)
+        return out
+
+    def referenced(self):
+        return set().union(*(d[4] for d in self.decls))
+
+
+class Reference:
+    """A cache-free environment replaying the model's declarations."""
+
+    def __init__(self):
+        with kernel_caches(False):
+            self.env = make_env(lists=False, vectors=False)
+            self.base = self.env.checkpoint()
+        assert not self.env.reduction_cache.enabled
+
+    def sync(self, decls):
+        with kernel_caches(False):
+            self.env.rollback(self.base)
+            for name, _kind, body, ty, _refs in decls:
+                self.env.define(name, rebuild(body), rebuild(ty), check=False)
+
+    def define(self, name, body, ty):
+        with kernel_caches(False):
+            return define_verdict(
+                self.env,
+                name,
+                rebuild(body),
+                None if ty is None else rebuild(ty),
+            )
+
+
+def define_verdict(env, name, body, ty):
+    try:
+        decl = env.define(name, body, ty)
+    except TermError as exc:
+        return ("error", type(exc).__name__), None
+    return ("ok", pretty(decl.type)), decl
+
+
+def verdicts(env, probes, pairs):
+    """The infer/nf/conv verdicts (or error classes) of ``probes``."""
+    out = []
+    typed = []
+    for term in probes:
+        try:
+            ty = infer(env, Context.empty(), term)
+        except TermError as exc:
+            out.append(("infer", "error", type(exc).__name__))
+            continue
+        out.append(("infer", pretty(ty)))
+        try:
+            out.append(("nf", pretty(nf(env, term))))
+        except TermError as exc:
+            out.append(("nf", "error", type(exc).__name__))
+        typed.append(term)
+    for i, j in pairs:
+        if max(i, j) < len(typed):
+            try:
+                out.append(("conv", i, j, conv(env, typed[i], typed[j])))
+            except TermError as exc:
+                out.append(("conv", i, j, "error", type(exc).__name__))
+    return out
+
+
+def probe_terms(rng, env, model):
+    """termgen terms, each user constant, and typed terms over them."""
+    live = model.names()
+    dead = tuple(n for n in NAMES if n not in live)[:2]
+    probes = [
+        random_term(rng, env, 3, 0, consts=DEFAULT_CONSTS + live + dead)
+        for _ in range(3)
+    ]
+    probes += [Const(name) for name in live]
+    source = Source(rng, model.visible())
+    for kind in ("nat", "bool"):
+        probes.append(parse(env, source.body(kind)))
+    for name, kind, *_ in model.decls:
+        if kind == "fun":
+            probes.append(parse(env, f"{name} {rng.randrange(4)}"))
+        elif kind == "type":
+            probes.append(parse(env, f"fun (x : {name}) => S x"))
+            probes.append(parse(env, f"fun (b : {name}) => negb b"))
+    return probes
+
+
+def first_difference(got, expected):
+    if len(got) != len(expected):
+        return f"{len(got)} verdicts != {len(expected)}"
+    return next(f"{g} != {e}" for g, e in zip(got, expected) if g != e)
+
+
+def run_step(rng, warm, ref, model, where):
+    """One random mutation of ``warm``; returns a label for messages."""
+    op = rng.choices([o for o, _ in OPS], [w for _, w in OPS])[0]
+    live = model.names()
+    if op == "define":
+        free = [n for n in NAMES if n not in live]
+        if not free:
+            op = "remove"
+        else:
+            name = rng.choice(free)
+            kind = rng.choice(list(TYPES))
+            source = Source(rng, model.visible())
+            body = parse(warm, source.body(kind))
+            ty = None
+            roll = rng.random()
+            if roll < 0.1:
+                ty = parse(warm, TYPES[rng.choice(list(TYPES))])
+            elif roll < 0.55:
+                ty = parse(warm, TYPES[kind])
+            ref.sync(model.decls)
+            expected, _ = ref.define(name, body, ty)
+            got, decl = define_verdict(warm, name, body, ty)
+            assert got == expected, (
+                f"{where} define {name}: {got} != {expected}"
+            )
+            if decl is not None:
+                model.decls.append(
+                    (name, kind, decl.body, decl.type, frozenset(source.used))
+                )
+            return f"define {name}"
+    if op == "redefine":
+        if not live:
+            return "redefine (none)"
+        index = rng.randrange(len(live))
+        name, kind, _body, ty, _refs = model.decls[index]
+        source = Source(rng, model.visible(before=name))
+        body = parse(warm, source.body(kind))
+        warm.redefine(name, body, ty)
+        model.decls[index] = (name, kind, body, ty, frozenset(source.used))
+        model.destructive += 1
+        return f"redefine {name}"
+    if op == "remove":
+        unused = [n for n in live if n not in model.referenced()]
+        if not unused:
+            return "remove (none)"
+        name = rng.choice(unused)
+        warm.remove(name)
+        model.decls = [d for d in model.decls if d[0] != name]
+        model.destructive += 1
+        return f"remove {name}"
+    if op == "checkpoint":
+        model.marks.append(
+            (warm.checkpoint(), list(model.decls), model.destructive)
+        )
+        return "checkpoint"
+    if op == "rollback":
+        if not model.marks:
+            return "rollback (none)"
+        # Biased toward recent marks, which are the likelier to be valid.
+        index = max(rng.randrange(len(model.marks)) for _ in range(2))
+        mark, decls, destructive = model.marks[index]
+        refuse = destructive != model.destructive
+        try:
+            warm.rollback(mark)
+        except EnvError:
+            assert refuse, f"{where} rollback to mark {index} refused"
+            # A redefine/remove since the mark spoils it for good.
+            del model.marks[index]
+            return f"rollback {index} (refused)"
+        assert not refuse, f"{where} rollback to mark {index} accepted"
+        model.decls = list(decls)
+        del model.marks[index + 1:]
+        return f"rollback {index}"
+    warm.reduction_cache.clear()
+    return "clear"
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return Reference()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_caches_agree_with_cache_free_reference(seed, reference):
+    rng = random.Random(seed)
+    with kernel_caches(True):
+        warm = make_env(lists=False, vectors=False)
+    assert warm.reduction_cache.enabled
+    base = warm.declaration_order()
+    model = Model()
+    for step in range(STEPS):
+        where = f"seed={seed} step={step}"
+        with kernel_caches(True):
+            label = run_step(rng, warm, reference, model, where)
+            assert warm.declaration_order() == base + model.names(), (
+                f"{where} {label}: declarations drifted from the model"
+            )
+            probes = probe_terms(rng, warm, model)
+            n_pairs = min(len(probes), 6)
+            pairs = [
+                (rng.randrange(n_pairs), rng.randrange(n_pairs))
+                for _ in range(4)
+            ]
+            got = verdicts(warm, probes, pairs)
+        reference.sync(model.decls)
+        with kernel_caches(False):
+            expected = verdicts(
+                reference.env, [rebuild(t) for t in probes], pairs
+            )
+        assert got == expected, (
+            f"{where} {label}: warm caches disagree with the cache-free "
+            f"reference: {first_difference(got, expected)}"
+        )

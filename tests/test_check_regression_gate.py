@@ -7,8 +7,8 @@ path is a few milliseconds per case by design, so the general
 any realistic regression in it.
 
 ``--require-phase`` pins a phase into the *current* report regardless
-of the baseline — the guard that keeps a new phase family (like
-``cold_start/snapshot``) from silently vanishing before its baseline
+of the baseline — the guard that keeps a new phase (like
+``warm_pool/jobs1``) from silently vanishing before its baseline
 exists.
 """
 
@@ -100,8 +100,8 @@ def test_missing_required_reports_absent_phases_in_order():
     assert missing_required(current, []) == []
     assert missing_required(current, ["cold_start/scratch"]) == []
     assert missing_required(
-        current, ["cold_start/snapshot", "cold_start/scratch", "warm/jobs1"]
-    ) == ["cold_start/snapshot", "warm/jobs1"]
+        current, ["warm_pool/jobs1", "cold_start/scratch", "warm/jobs1"]
+    ) == ["warm_pool/jobs1", "warm/jobs1"]
 
 
 def test_missing_required_glob_needs_at_least_one_match():
@@ -159,11 +159,11 @@ def test_require_phase_fails_even_when_baseline_lacks_it(tmp_path, capsys):
         current,
         baseline,
         "--require-phase",
-        "cold_start/snapshot",
+        "warm_pool/jobs1",
     ]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert "cold_start/snapshot" in err and "required phase" in err
+    assert "warm_pool/jobs1" in err and "required phase" in err
 
 
 def test_require_phase_passes_when_current_carries_it(tmp_path, capsys):
@@ -172,7 +172,7 @@ def test_require_phase_passes_when_current_carries_it(tmp_path, capsys):
         {
             "cold/jobs1": _entry(1.0),
             "cold_start/scratch": _entry(0.4),
-            "cold_start/snapshot": _entry(0.3),
+            "warm_pool/jobs1": _entry(0.3),
         },
     )
     baseline = _write_report(
@@ -185,7 +185,7 @@ def test_require_phase_passes_when_current_carries_it(tmp_path, capsys):
         "--require-phase",
         "cold_start/scratch",
         "--require-phase",
-        "cold_start/snapshot",
+        "warm_pool/jobs1",
     ]
     assert main(argv) == 0
     capsys.readouterr()

@@ -301,7 +301,7 @@ class TestWorkerPool:
         with WorkerPool(1) as pool:
             first = pool.run_job(payload, 0, 120)
             second = pool.run_job(payload, 0, 120)
-        assert first["env_boot"] in ("scratch", "snapshot")
+        assert first["env_boot"] == "scratch"
         assert second["env_boot"] == "warm"
         hermetic = subprocess_runner()(payload, 0, 120)
         assert (
@@ -324,7 +324,7 @@ class TestWorkerPool:
             second = pool.run_job(changed, 0, 120)
             assert second["status"] == STATUS_OK
             # The fresh worker re-booted; nothing was served warm.
-            assert second["env_boot"] in ("scratch", "snapshot")
+            assert second["env_boot"] == "scratch"
         stats = pool.stats()
         assert stats["stale_retired"] == 1
         assert stats["spawned"] == 2
@@ -336,7 +336,7 @@ class TestWorkerPool:
             second = pool.run_job(payload, 0, 120)
         assert first["status"] == second["status"] == STATUS_OK
         # Each worker retired after its single job: no warm reuse.
-        assert second["env_boot"] in ("scratch", "snapshot")
+        assert second["env_boot"] == "scratch"
         stats = pool.stats()
         assert stats["spawned"] == 2
         assert stats["recycled"] == 2
@@ -500,8 +500,7 @@ class TestPoolKnobs:
 
     def test_worker_environ_carries_knobs(self):
         plan = FaultPlan({"t": {0: "error"}})
-        environ = worker_environ(plan, "/tmp/snap.json")
+        environ = worker_environ(plan)
         assert environ["REPRO_FAULT_PLAN"] == plan.to_env()
-        assert environ["REPRO_SNAPSHOT"] == "/tmp/snap.json"
         src = Path(__file__).resolve().parents[1] / "src"
         assert str(src) in environ["PYTHONPATH"].split(os.pathsep)
