@@ -116,14 +116,16 @@ class ReductionCache:
 class EnvCheckpoint:
     """An opaque rollback token from :meth:`Environment.checkpoint`.
 
-    Captures how many globals were declared, how many *destructive*
-    mutations (``redefine``/``remove``) the environment had seen, and a
-    shallow snapshot of the reduction-cache store.  Valid for
-    :meth:`Environment.rollback` only while every change since it was
-    taken has been additive.
+    Captures how many globals were declared, the stamp of the newest
+    one, how many *destructive* mutations (``redefine``/``remove``) the
+    environment had seen, and a shallow snapshot of the reduction-cache
+    store.  Valid for :meth:`Environment.rollback` only while every
+    change since it was taken has been additive and no rollback has
+    dropped a declaration it saw.
     """
 
     depth: int
+    top: int
     destructive: int
     cache_store: Dict[tuple, object]
 
@@ -149,6 +151,10 @@ class Environment:
         self._constants: Dict[str, ConstantDecl] = {}
         self._inductives: Dict[str, InductiveDecl] = {}
         self._decl_order: List[str] = []
+        #: The revision at which each ``_decl_order`` entry was declared:
+        #: a stamp no later declaration shares, so a checkpoint can tell
+        #: its newest declaration from one declared after a rollback.
+        self._stamps: List[int] = []
         self._revision: int = 0
         self._destructive: int = 0
         self._refs_memo: Optional[
@@ -249,6 +255,12 @@ class Environment:
         self._revision += 1
         self._refs_memo = None
 
+    def _append(self, name: str) -> None:
+        """Record a new global at the end of the declaration order."""
+        self._decl_order.append(name)
+        self._mutated()
+        self._stamps.append(self._revision)
+
     # -- Checkpoint / rollback ----------------------------------------------
 
     def checkpoint(self) -> EnvCheckpoint:
@@ -261,6 +273,7 @@ class Environment:
         """
         return EnvCheckpoint(
             depth=len(self._decl_order),
+            top=self._stamps[-1] if self._stamps else 0,
             destructive=self._destructive,
             cache_store=self.reduction_cache.snapshot_store(),
         )
@@ -275,7 +288,9 @@ class Environment:
         the mark may mention the dropped globals).  ``redefine`` or
         ``remove`` since the mark would make the tail-drop unsound, so
         rollback refuses with :class:`EnvError` — callers should discard
-        the environment and rebuild instead.
+        the environment and rebuild instead.  So does a mark taken after
+        an earlier rollback's target: that rollback dropped declarations
+        the mark saw.  Rolling back to the same mark again is fine.
         """
         if mark.destructive != self._destructive:
             raise EnvError(
@@ -287,11 +302,17 @@ class Environment:
                 "cannot roll back: the checkpoint is ahead of this "
                 "environment"
             )
+        if mark.depth and self._stamps[mark.depth - 1] != mark.top:
+            raise EnvError(
+                "cannot roll back: an earlier rollback dropped "
+                "declarations this checkpoint saw"
+            )
         added = tuple(self._decl_order[mark.depth:])
         for name in added:
             self._constants.pop(name, None)
             self._inductives.pop(name, None)
         del self._decl_order[mark.depth:]
+        del self._stamps[mark.depth:]
         self.reduction_cache.restore_store(mark.cache_store)
         self._mutated()
         return added
@@ -311,8 +332,7 @@ class Environment:
         if check:
             self._check_inductive(decl)
         self._inductives[decl.name] = decl
-        self._decl_order.append(decl.name)
-        self._mutated()
+        self._append(decl.name)
         self._define_recursor(decl)
         return decl
 
@@ -342,8 +362,7 @@ class Environment:
             raise EnvError(f"define({name!r}): need a type when check=False")
         decl = ConstantDecl(name=name, type=type, body=body, opaque=opaque)
         self._constants[name] = decl
-        self._decl_order.append(name)
-        self._mutated()
+        self._append(name)
         return decl
 
     def assume(self, name: str, type: Term, check: bool = True) -> ConstantDecl:
@@ -361,8 +380,7 @@ class Environment:
             infer_sort(self, Context.empty(), type)
         decl = ConstantDecl(name=name, type=type, body=None)
         self._constants[name] = decl
-        self._decl_order.append(name)
-        self._mutated()
+        self._append(name)
         return decl
 
     def redefine(self, name: str, body: Term, type: Term) -> ConstantDecl:
@@ -382,7 +400,8 @@ class Environment:
         self._constants.pop(name, None)
         self._inductives.pop(name, None)
         if name in self._decl_order:
-            self._decl_order.remove(name)
+            index = self._decl_order.index(name)
+            del self._decl_order[index], self._stamps[index]
         self.reduction_cache.clear()
         self._destructive += 1
         self._mutated()
@@ -497,5 +516,4 @@ class Environment:
             return
         decl_const = ConstantDecl(name=name, type=rect_type, body=rect_body)
         self._constants[name] = decl_const
-        self._decl_order.append(name)
-        self._mutated()
+        self._append(name)

@@ -17,8 +17,8 @@ Constructor argument types are stored under the context
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .stats import KERNEL_STATS
 from .term import (
@@ -36,7 +36,6 @@ from .term import (
     mk_app,
     mk_lams,
     mk_pis,
-    register_term_cache,
     subst,
     term_memo_enabled,
     unfold_app,
@@ -71,13 +70,21 @@ class ConstructorDecl:
 
 @dataclass(frozen=True)
 class InductiveDecl:
-    """A declared inductive family."""
+    """A declared inductive family.
+
+    ``case_types`` memoizes :func:`case_type` for this declaration; it
+    lives on the declaration, so it dies with the environment that
+    holds it (every environment build makes fresh declarations).
+    """
 
     name: str
     params: Telescope
     indices: Telescope
     sort: Sort
     constructors: Tuple[ConstructorDecl, ...]
+    case_types: Dict[tuple, tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(self.params))
@@ -336,7 +343,6 @@ def _rename(term: Term, ren: Tuple[int, ...], n_new: int, cutoff: int) -> Term:
 # ---------------------------------------------------------------------------
 
 
-_CASE_TYPE_MEMO: dict = register_term_cache({})
 _CASE_TYPE_MEMO_MAX = 1 << 18
 _CASE_TYPE_COUNTER = KERNEL_STATS.counter("case_type")
 
@@ -352,23 +358,25 @@ def case_type(
     concludes ``motive result_indices (Constr j params args)``.
 
     The result is a pure function of the (immutable) declaration, the
-    parameters, and the motive, so it is memoized; the type checker asks
-    for the same case types over and over while checking eliminations.
+    parameters, and the motive, so it is memoized on the declaration;
+    the type checker asks for the same case types over and over while
+    checking eliminations.
     """
     if term_memo_enabled():
         # Keyed by identity, with the referents pinned in the value, so
         # a hit can never swap in binder names from an equal-but-
         # differently-named motive or parameter.
-        key = (id(decl), j, tuple(id(p) for p in params), id(motive))
-        entry = _CASE_TYPE_MEMO.get(key)
+        memo = decl.case_types
+        key = (j, tuple(id(p) for p in params), id(motive))
+        entry = memo.get(key)
         if entry is not None:
             _CASE_TYPE_COUNTER.hits += 1
             return entry[-1]
         _CASE_TYPE_COUNTER.misses += 1
         result = _case_type(decl, j, params, motive)
-        if len(_CASE_TYPE_MEMO) >= _CASE_TYPE_MEMO_MAX:
-            _CASE_TYPE_MEMO.clear()
-        _CASE_TYPE_MEMO[key] = (decl, tuple(params), motive, result)
+        if len(memo) >= _CASE_TYPE_MEMO_MAX:
+            memo.clear()
+        memo[key] = (tuple(params), motive, result)
         return result
     return _case_type(decl, j, params, motive)
 

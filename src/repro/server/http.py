@@ -10,6 +10,14 @@ concerns:
 * **body bounds before read** — a ``Content-Length`` past the app's
   limit is refused without reading the body, so a hostile client
   cannot make a handler thread buffer gigabytes;
+* **readable framing only** — a body is read by its ``Content-Length``
+  alone; a malformed length or any ``Transfer-Encoding`` is refused
+  and the connection closed, since the unread bytes would otherwise be
+  parsed as the next request on a keep-alive connection;
+* **one write per response** — headers and body collect in a buffered
+  ``wfile`` that the stdlib flushes once per request, on a socket with
+  Nagle off.  Written in two pieces, a keep-alive response's body waits
+  for the client's delayed ACK of the headers (~40 ms on Linux);
 * **the listening line** — :func:`serve` prints one JSON line
   (``{"event": "listening", "port": N}``) to stdout once bound, so a
   harness that started the server with ``--port 0`` learns the real
@@ -54,6 +62,12 @@ class ReproHTTPServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.app = app
 
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        # A client that hangs up mid-response is its own loss; any
+        # other failure keeps the stdlib's traceback on stderr.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
 
 class _Handler(BaseHTTPRequestHandler):
     """Read → ``app.handle`` → write; nothing else."""
@@ -61,6 +75,10 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-server"
     sys_version = ""
+    # One write per response (see the module docstring): the stdlib
+    # flushes the buffered wfile after each request and send_error.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # The app writes structured request logs itself; the default
     # per-request stderr line would just duplicate them unsorted.
@@ -73,30 +91,56 @@ class _Handler(BaseHTTPRequestHandler):
         assert isinstance(server, ReproHTTPServer)
         return server.app
 
+    def handle_expect_100(self) -> bool:
+        # The client holds its body back until the interim 100 arrives,
+        # so it cannot wait in the buffer for the final response.
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
+
     def _read_body(self) -> Optional[bytes]:
-        raw_length = self.headers.get("Content-Length")
-        try:
-            length = int(raw_length) if raw_length else 0
-        except ValueError:
-            length = 0
-        if length > MAX_BODY_BYTES:
-            self._write(
-                Response(
-                    413,
-                    {
-                        "error": {
-                            "code": "body-too-large",
-                            "detail": (
-                                f"request body exceeds "
-                                f"{MAX_BODY_BYTES} bytes"
-                            ),
-                        }
-                    },
-                    {"Connection": "close"},
-                )
+        """The request body, or ``None`` once the request is refused.
+
+        Refusals read no body and close the connection: what follows
+        the headers is not a request this handler can find the end of.
+        """
+        # Repeats of one value are allowed; conflicting ones are not.
+        lengths = set(self.headers.get_all("Content-Length", ["0"]))
+        raw_length = lengths.pop().strip(" \t") if len(lengths) == 1 else ""
+        # int() refuses strings of over 4300 digits, leading zeros too.
+        digits = raw_length.lstrip("0") or "0"
+        if "Transfer-Encoding" in self.headers:
+            status, code, detail = (
+                411,
+                "length-required",
+                "send the body with a Content-Length; "
+                "Transfer-Encoding is not supported",
             )
-            return None
-        return self.rfile.read(length) if length > 0 else b""
+        elif not (raw_length.isascii() and raw_length.isdigit()):
+            status, code, detail = (
+                400,
+                "bad-content-length",
+                "Content-Length must be one non-negative decimal integer",
+            )
+        elif (
+            len(digits) > len(str(MAX_BODY_BYTES))
+            or int(digits) > MAX_BODY_BYTES
+        ):
+            status, code, detail = (
+                413,
+                "body-too-large",
+                f"request body exceeds {MAX_BODY_BYTES} bytes",
+            )
+        else:
+            return self.rfile.read(int(digits))
+        self._write(
+            Response(
+                status,
+                {"error": {"code": code, "detail": detail}},
+                {"Connection": "close"},
+            )
+        )
+        return None
 
     def _write(self, response: Response) -> None:
         payload = response.encoded()
@@ -106,10 +150,7 @@ class _Handler(BaseHTTPRequestHandler):
         for name, value in response.headers.items():
             self.send_header(name, value)
         self.end_headers()
-        try:
-            self.wfile.write(payload)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # the client hung up; its loss
+        self.wfile.write(payload)
 
     def _dispatch(self) -> None:
         body = self._read_body()

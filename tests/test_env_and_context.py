@@ -144,6 +144,37 @@ class TestEnvironment:
         with pytest.raises(EnvError):
             fresh.rollback(mark)
 
+    def test_rollback_refuses_marks_taken_after_its_target(self):
+        env = Environment()
+        declare_prelude(env)
+        declare_nat(env)
+        a = env.checkpoint()
+        env.define("x1", parse(env, "1"))
+        b = env.checkpoint()
+        assert env.rollback(a) == ("x1",)
+        env.define("y1", parse(env, "1"))
+        # b saw x1, which the rollback to a dropped; y1 now sits at
+        # b's depth, so only the stamps tell the two apart.
+        with pytest.raises(EnvError):
+            env.rollback(b)
+        assert env.has_constant("y1")
+        assert not env.has_constant("x1")
+        # The target itself stays valid, as often as it is used.
+        assert env.rollback(a) == ("y1",)
+        env.define("z1", parse(env, "1"))
+        assert env.rollback(a) == ("z1",)
+
+    def test_one_mark_per_job_rolls_back_every_time(self):
+        env = Environment()
+        declare_prelude(env)
+        declare_nat(env)
+        order = env.declaration_order()
+        for job in range(3):
+            mark = env.checkpoint()
+            env.define(f"job{job}", parse(env, str(job)))
+            assert env.rollback(mark) == (f"job{job}",)
+        assert env.declaration_order() == order
+
 
 class TestContext:
     def test_type_of_lifts(self):

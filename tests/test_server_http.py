@@ -5,9 +5,13 @@ every test here; the drain test and the CLI leaked-worker regression
 start their own processes.
 """
 
+import http.client
 import json
 import os
 import signal
+import socket
+import statistics
+import struct
 import subprocess
 import sys
 import time
@@ -86,18 +90,41 @@ def _call(port, method, path, body=None, timeout=120):
         return err.code, json.loads(err.read())
 
 
+def _stderr_so_far(process):
+    """Whatever the server has written to its stderr pipe, unblocking."""
+    fd = process.stderr.fileno()
+    os.set_blocking(fd, False)
+    chunks = []
+    try:
+        while True:
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    except BlockingIOError:
+        pass
+    finally:
+        os.set_blocking(fd, True)
+    return b"".join(chunks).decode("utf-8", "replace")
+
+
 @pytest.fixture(scope="module")
-def server(tmp_path_factory):
+def server_process(tmp_path_factory):
     store = str(tmp_path_factory.mktemp("server-store"))
     process, port = _spawn_server(
         "--workers", "2", "--store", store, "--quiet"
     )
-    yield port
+    yield process, port
     process.send_signal(signal.SIGTERM)
     try:
         process.wait(timeout=45)
     except subprocess.TimeoutExpired:
         process.kill()
+
+
+@pytest.fixture(scope="module")
+def server(server_process):
+    return server_process[1]
 
 
 class TestServerEndpoints:
@@ -189,6 +216,128 @@ class TestServerEndpoints:
         assert status == 404
         status, payload = _call(server, "PUT", "/healthz")
         assert status == 405
+
+
+class TestKeepAlive:
+    """Connections that carry more than one request.
+
+    ``urllib`` sends ``Connection: close``, so the tests above cannot
+    see a response whose body waits for the client's delayed ACK of
+    its headers (~40 ms each on Linux), nor a request whose unread
+    body is parsed as the next request on its connection.
+    """
+
+    def test_round_trips_reuse_one_connection(self, server):
+        manifest = {"batch": "keep-alive", "jobs": [QUICKSTART_SPEC]}
+        assert _call(server, "POST", "/v1/repair", manifest)[0] == 200
+        conn = http.client.HTTPConnection("127.0.0.1", server, timeout=60)
+        conn.connect()
+        sock = conn.sock
+        times = []
+
+        def round_trip(method, path, body=None):
+            data = json.dumps(body).encode() if body is not None else None
+            started = time.perf_counter()
+            conn.request(
+                method,
+                path,
+                body=data,
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+            times.append(time.perf_counter() - started)
+            assert conn.sock is sock, f"{method} {path} reopened"
+            return response.status, payload
+
+        try:
+            for _ in range(30):
+                status, payload = round_trip("GET", "/healthz")
+                assert (status, payload["status"]) == (200, "ok")
+            assert round_trip("GET", "/nope")[0] == 404
+            assert round_trip("PUT", "/healthz")[0] == 405
+            status, payload = round_trip("POST", "/v1/repair", manifest)
+            assert (status, payload["counts"]) == (200, {"cached": 1})
+        finally:
+            conn.close()
+        assert statistics.median(times) < 0.020, sorted(times)
+
+    def test_expect_100_continue_is_answered_before_the_body(self, server):
+        body = json.dumps({"batch": "expect", "jobs": [QUICKSTART_SPEC]})
+        with socket.create_connection(("127.0.0.1", server), timeout=30) as sock:
+            sock.sendall(
+                b"POST /v1/repair HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Type: application/json\r\nExpect: 100-continue\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+            )
+            # The client holds its body back until the interim answer.
+            interim = sock.recv(65536)
+            assert interim.startswith(b"HTTP/1.1 100 "), interim
+            sock.sendall(body.encode())
+            reply = sock.recv(65536)
+        assert reply.split(b" ", 2)[1] == b"200", reply
+
+    def test_client_hanging_up_leaves_no_traceback(self, server_process):
+        process, port = server_process
+        _stderr_so_far(process)
+        for reset in (False, True):
+            with socket.create_connection(("127.0.0.1", port)) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                if reset:  # close with an RST instead of a FIN
+                    sock.setsockopt(
+                        socket.SOL_SOCKET,
+                        socket.SO_LINGER,
+                        struct.pack("ii", 1, 0),
+                    )
+        time.sleep(0.5)
+        assert _call(port, "GET", "/healthz")[0] == 200
+        assert "Traceback" not in _stderr_so_far(process)
+
+    @pytest.mark.parametrize(
+        "framing, status, code",
+        [
+            (b"Content-Length: -5\r\n\r\n", 400, "bad-content-length"),
+            (
+                b"Content-Length: 2\r\nContent-Length: 13\r\n\r\n",
+                400,
+                "bad-content-length",
+            ),
+            (
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                b'd\r\n{"name": "c"}\r\n0\r\n\r\n',
+                411,
+                "length-required",
+            ),
+            (
+                b"Content-Length: " + b"9" * 5000 + b"\r\n\r\n",
+                413,
+                "body-too-large",
+            ),
+        ],
+        ids=["negative-length", "conflicting-lengths", "chunked", "huge"],
+    )
+    def test_unreadable_framing_is_refused_and_closed(
+        self, server, framing, status, code
+    ):
+        # Read wrongly, what follows the headers would be answered as
+        # a second request on this connection.
+        received = b""
+        with socket.create_connection(("127.0.0.1", server), timeout=30) as sock:
+            sock.sendall(
+                b"POST /v1/sessions HTTP/1.1\r\nHost: t\r\n"
+                + framing
+                + b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+            )
+            while chunk := sock.recv(65536):
+                received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].split()[1] == str(status)
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        assert headers["Connection"] == "close"
+        # One response, then EOF: nothing after its body.
+        assert len(body) == int(headers["Content-Length"])
+        assert json.loads(body)["error"]["code"] == code
 
 
 class TestGracefulShutdown:
