@@ -3,13 +3,15 @@
 Runs the eight-job six-case batch (:func:`repro.service.cases.six_case_jobs`)
 through the service scheduler at ``--jobs 1``, ``2``, and ``4`` with a cold
 store each time, then replays the ``jobs=1`` batch against its warm store.
-Every cold width uses the *subprocess* runner — including ``jobs=1`` —
-so the scaling ratios compare identical per-job cost and measure only
-the pool, not in-process vs subprocess dispatch overhead.
+Every cold width runs on one-job workers (a ``WorkerPool`` with
+``max_jobs_per_worker=1``, the ``--no-pool`` mode: a fresh process per
+attempt) — including ``jobs=1`` — so the scaling ratios compare
+identical per-job cost and measure only the parallelism, not in-process
+vs subprocess dispatch overhead.
 
 Phases (shared schema, :mod:`report_schema`)::
 
-    cold/jobs1, cold/jobs2, cold/jobs4   # fresh store, subprocess workers
+    cold/jobs1, cold/jobs2, cold/jobs4   # fresh store, one-job workers
     warm/jobs1                           # same store as cold/jobs1 => cached
     cold_start/scratch                   # storeless batch, scratch boots
     warm_pool/cold                       # persistent pool, first (boot) pass
@@ -21,12 +23,12 @@ persistent :class:`~repro.service.pool.WorkerPool` — the first pass
 pays interpreter + import + boot once per worker, the second measures
 the steady state the pool exists for.  The width-1 warm pass is gated
 hard: every job must report ``env_boot == "warm"``, every
-``result_digest`` must be byte-identical to its scratch-boot subprocess
-twin, and its wall time must be at most ``--max-warm-pool-ratio``
+``result_digest`` must be byte-identical to its scratch-boot one-job
+worker twin, and its wall time must be at most ``--max-warm-pool-ratio``
 (default 0.5) of ``cold_start/scratch`` — both sides serial, so this
 gate holds on single-core boxes too.
 ``cold_start/scratch`` runs the same eight-job batch through one
-subprocess worker per job with no result store: every job elaborates
+one-job worker per job with no result store: every job elaborates
 its environment from scratch, which is the reference both the ratio
 gate and the digest-parity gate compare the warm pool against.
 The run fails when ``cold/jobs4`` is not at least ``--max-ratio`` (default
@@ -55,35 +57,26 @@ from typing import Any, Dict, List, Tuple
 
 from report_schema import make_report, write_report
 
-from repro.service import (
-    BatchOptions,
-    ResultStore,
-    run_batch,
-    subprocess_runner,
-)
+from repro.service import BatchOptions, ResultStore, WorkerPool, run_batch
 from repro.service.cases import six_case_jobs
 
 WIDTHS = (1, 2, 4)
 
 
 def _run_width(jobs: List[Any], width: int, store_dir: str) -> Any:
-    report = run_batch(
-        jobs,
-        BatchOptions(
-            jobs=width,
-            store=ResultStore(store_dir),
-            timeout_s=600,
-            backoff_s=0.0,
-        ),
-        runner=subprocess_runner(),
-        batch=f"six-cases/jobs{width}",
-    )
-    bad = [o for o in report.outcomes if not o.ok]
-    if bad:
-        raise RuntimeError(
-            "batch failed at jobs=%d: %s"
-            % (width, ", ".join(f"{o.job.name}={o.status}" for o in bad))
+    with WorkerPool(width, max_jobs_per_worker=1) as pool:
+        report = run_batch(
+            jobs,
+            BatchOptions(
+                jobs=width,
+                store=ResultStore(store_dir),
+                timeout_s=600,
+                backoff_s=0.0,
+            ),
+            runner=pool.run_job,
+            batch=f"six-cases/jobs{width}",
         )
+    _require_ok(report, f"jobs={width}")
     return report
 
 
@@ -116,12 +109,13 @@ def _run_cold_start(
     """
     from repro.service.job import result_digest
 
-    report = run_batch(
-        jobs,
-        BatchOptions(jobs=1, timeout_s=600, backoff_s=0.0),
-        runner=subprocess_runner(),
-        batch="six-cases/cold_start-scratch",
-    )
+    with WorkerPool(1, max_jobs_per_worker=1) as pool:
+        report = run_batch(
+            jobs,
+            BatchOptions(jobs=1, timeout_s=600, backoff_s=0.0),
+            runner=pool.run_job,
+            batch="six-cases/cold_start-scratch",
+        )
     _require_ok(report, "cold_start/scratch")
     digests = {o.job.name: result_digest(o.result) for o in report.outcomes}
     return {"cold_start/scratch": _phase(report, 1)}, digests
@@ -137,11 +131,10 @@ def _run_warm_pool(
     second measures steady-state warm serving.  The width-1 warm pass
     is the gated one — serial on both sides of the comparison, every
     environment resident, so it must be all-``warm`` and byte-identical
-    to the scratch subprocess run.  Wider warm passes are recorded for
+    to the scratch one-job worker run.  Wider warm passes are recorded for
     scaling but not gated: which worker a job lands on is not
     deterministic, so some may still boot.
     """
-    from repro.service import WorkerPool
     from repro.service.job import result_digest
 
     phases: Dict[str, Dict[str, Any]] = {}
@@ -183,7 +176,7 @@ def _run_warm_pool(
                 if mismatched:
                     raise RuntimeError(
                         "warm pool changed repair output (digest differs "
-                        "from the scratch subprocess run): "
+                        "from the scratch one-job worker run): "
                         + ", ".join(mismatched)
                     )
                 pool_stats = pool.stats()
@@ -270,8 +263,8 @@ def build_report() -> Tuple[dict, dict]:
     scaling["warm_vs_cold_jobs1"] = round(
         phases["warm/jobs1"]["wall_time_s"] / max(walls[1], 1e-9), 4
     )
-    # Warm pool vs the per-attempt subprocess mode, both serial and
-    # storeless — the amortization the pool exists to buy.
+    # Warm pool vs the per-attempt (one-job worker) mode, both serial
+    # and storeless — the amortization the pool exists to buy.
     scratch_wall = max(phases["cold_start/scratch"]["wall_time_s"], 1e-9)
     scaling["warm_pool_vs_subprocess"] = round(
         phases["warm_pool/jobs1"]["wall_time_s"] / scratch_wall, 4
@@ -318,8 +311,8 @@ def main(argv) -> int:
         default=0.5,
         help="fail when warm_pool/jobs1 exceeds this fraction of "
         "cold_start/scratch (0 disables the check; default: 0.5 — warm "
-        "per-job wall must be at most half the per-attempt subprocess "
-        "mode; both sides serial, so no CPU-count escape hatch)",
+        "per-job wall must be at most half the per-attempt one-job "
+        "worker mode; both sides serial, so no CPU-count escape hatch)",
     )
     args = parser.parse_args(argv[1:])
 

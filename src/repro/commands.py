@@ -29,9 +29,8 @@ Supported commands::
 reverse-dependency graph, a failing target skips (rather than poisons)
 its dependents, and when the session has a result ``store`` attached,
 previously repaired targets replay from cache without redoing any
-transformation work.  A trailing ``impact`` token (or
-``$REPRO_IMPACT=1``) prunes targets a change-impact plan certifies
-unaffected; ``no-impact`` runs everything and differentially asserts
+transformation work.  A trailing ``impact`` token prunes targets a
+change-impact plan certifies unaffected; ``no-impact`` runs everything and differentially asserts
 the pruned set would have been byte-identical.
 
 ``Repair`` uses the automatic workflow of Figure 6 (left): when no
@@ -233,13 +232,9 @@ class CommandSession:
             raise CommandError(usage)
         a, b = words[0], words[1]
         targets = words[3:]
-        from .service.planner import (
-            MODE_CHECK,
-            MODE_PRUNE,
-            default_impact_mode,
-        )
+        from .service.planner import MODE_CHECK, MODE_PRUNE
 
-        impact_mode = default_impact_mode()
+        impact_mode: Optional[str] = None
         if targets and targets[-1] in ("impact", "no-impact"):
             impact_mode = (
                 MODE_PRUNE if targets[-1] == "impact" else MODE_CHECK

@@ -45,7 +45,6 @@ class TransformCache:
     """Memoizes transformed subterms, keyed by (term, relevant context)."""
 
     enabled: bool = True
-    prune_context: bool = True
     hits: int = 0
     misses: int = 0
     _store: Dict[Tuple, Tuple] = field(default_factory=dict)
@@ -80,8 +79,6 @@ class TransformCache:
 
     def _build_key(self, term: Term, ctx: Context) -> Tuple:
         entries = ctx.entries
-        if not self.prune_context:
-            return ((id(term), ctx.type_ids()), (term, ctx))
         size = len(entries)
         k = max_free_rel(term)
         if size == 0 or k == 0:

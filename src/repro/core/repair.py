@@ -32,6 +32,28 @@ class RepairError(Exception):
     """Raised when a repair fails or leaves references to the old type."""
 
 
+def needs_repair(
+    env: Environment, name: str, old_globals: Sequence[str]
+) -> bool:
+    """True when ``name`` is a constant a repair must rewrite.
+
+    That is a defined constant, other than an inductive's generated
+    recursor, whose type or body mentions one of ``old_globals``.
+    Recursors are regenerated with their inductive and never repaired.
+    """
+    if not env.has_constant(name):
+        return False
+    if name.endswith("_rect") and env.has_inductive(name[: -len("_rect")]):
+        return False
+    decl = env.constant(name)
+    if decl.body is None:
+        return False
+    return any(
+        mentions_global(decl.body, old) or mentions_global(decl.type, old)
+        for old in old_globals
+    )
+
+
 @dataclass
 class RepairResult:
     """One repaired definition: the new term, its type, and a script."""
@@ -145,21 +167,7 @@ class RepairSession:
     def _needs_repair(self, name: str) -> bool:
         if name in self.results or name in self.skip:
             return False
-        if not self.env.has_constant(name):
-            return False
-        if name.endswith("_rect") and self.env.has_inductive(name[: -len("_rect")]):
-            # Auto-generated recursors are regenerated with their
-            # inductive; they are never repaired.
-            return False
-        decl = self.env.constant(name)
-        if decl.body is None:
-            return False
-        for old in self.old_globals:
-            if mentions_global(decl.body, old) or mentions_global(
-                decl.type, old
-            ):
-                return True
-        return False
+        return needs_repair(self.env, name, self.old_globals)
 
     def _repair_dependencies(self, name: str) -> None:
         """Repair (recursively) every dependency that mentions the old type."""

@@ -20,7 +20,7 @@ setting, CIC_omega, does not impose one either.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .context import Context
 from .convert import conv, sub
@@ -348,12 +348,3 @@ def _motive_ok(
 def typecheck_closed(env: Environment, term: Term) -> Term:
     """Infer the type of a closed term in the empty context."""
     return infer(env, Context.empty(), term)
-
-
-def is_well_typed(env: Environment, term: Term, ctx: Optional[Context] = None) -> bool:
-    """Return True when ``term`` type checks (convenience for tests)."""
-    try:
-        infer(env, ctx or Context.empty(), term)
-        return True
-    except TermError:
-        return False

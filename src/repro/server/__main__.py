@@ -12,6 +12,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from ..service.cli import finite_seconds
 from ..service.scheduler import default_jobs
 from ..service.store import default_store_dir
 from .app import DEFAULT_MAX_BATCH_JOBS, ServerConfig
@@ -104,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=finite_seconds,
         default=None,
         metavar="S",
         help="per-job repair timeout",

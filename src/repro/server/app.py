@@ -31,6 +31,7 @@ an operator must be able to see a struggling server.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import threading
 import time
@@ -446,10 +447,19 @@ class RepairApp:
 
     def _batch_options(self, overrides: Dict[str, Any]) -> BatchOptions:
         timeout_s = overrides.get("timeout_s", self.config.timeout_s)
-        if timeout_s is not None and not isinstance(
-            timeout_s, (int, float)
-        ):
-            raise AppError(400, "bad-manifest", "timeout_s must be a number")
+        if timeout_s is not None:
+            # JSON admits Infinity, NaN and integers past any float, and
+            # a bool is an int to Python; none of them is a deadline.
+            try:
+                finite = not isinstance(timeout_s, bool) and math.isfinite(
+                    timeout_s
+                )
+            except (TypeError, OverflowError):
+                finite = False
+            if not finite:
+                raise AppError(
+                    400, "bad-manifest", "timeout_s must be a finite number"
+                )
         retries = overrides.get("retries", self.config.retries)
         if not isinstance(retries, int) or retries < 0:
             raise AppError(
@@ -480,10 +490,9 @@ class RepairApp:
         return batch, jobs, body
 
     def _run_manifest(
-        self, batch: str, jobs: List[RepairJob], overrides: Dict[str, Any]
+        self, batch: str, jobs: List[RepairJob], options: BatchOptions
     ) -> Dict[str, Any]:
         """One batch through the scheduler on the *shared* pool."""
-        options = self._batch_options(overrides)
         report = run_batch(
             jobs, options, runner=self._runner, batch=batch
         )
@@ -498,7 +507,7 @@ class RepairApp:
         """The queue dispatcher's entry point (async submits)."""
         assert isinstance(work, dict)
         return self._run_manifest(
-            work["batch"], work["jobs"], work["overrides"]
+            work["batch"], work["jobs"], work["options"]
         )
 
     # -- Handlers ----------------------------------------------------------
@@ -622,10 +631,12 @@ class RepairApp:
         self, request: Request, params: Dict[str, str]
     ) -> Response:
         batch, jobs, body = self._parse_repair(request)
+        # Validated before queueing, so an async submit is refused too.
+        options = self._batch_options(body)
         if body.get("async"):
             record = self.queue.submit(
                 batch,
-                {"batch": batch, "jobs": jobs, "overrides": body},
+                {"batch": batch, "jobs": jobs, "options": options},
             )
             return Response(
                 202,
@@ -634,7 +645,7 @@ class RepairApp:
                     "poll": f"/v1/jobs/{record.id}",
                 },
             )
-        return Response(200, self._run_manifest(batch, jobs, body))
+        return Response(200, self._run_manifest(batch, jobs, options))
 
     def handle_job_list(
         self, request: Request, params: Dict[str, str]

@@ -78,32 +78,6 @@ class ServerMetrics:
         with self._lock:
             self._gauges[name] = read
 
-    # -- Introspection -----------------------------------------------------
-
-    def request_counts(self) -> Dict[str, int]:
-        """Total finished requests per route (the app's summary view)."""
-        with self._lock:
-            totals: Dict[str, int] = {}
-            for (route, _status), count in self._requests.items():
-                totals[route] = totals.get(route, 0) + count
-            return totals
-
-    def status_counts(self) -> Dict[int, int]:
-        """Total finished requests per status code."""
-        with self._lock:
-            totals: Dict[int, int] = {}
-            for (_route, status), count in self._requests.items():
-                totals[status] = totals.get(status, 0) + count
-            return totals
-
-    def latency(self, route: str) -> Histogram:
-        """The latency histogram for ``route`` (created on first use)."""
-        with self._lock:
-            hist = self._latency.get(route)
-            if hist is None:
-                hist = self._latency[route] = Histogram()
-            return hist
-
     # -- Exposition --------------------------------------------------------
 
     def render(self) -> str:

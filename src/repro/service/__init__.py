@@ -13,11 +13,10 @@ This package turns :mod:`repro.core.repair` into a job service:
 * :mod:`~repro.service.scheduler` — :func:`run_batch`: the
   dependency-aware scheduler, worker pool, retry/timeout semantics, and
   per-batch report;
-* :mod:`~repro.service.worker` — the per-job executor
-  (``python -m repro.service.worker``), one-shot or persistent
-  (``--serve``);
-* :mod:`~repro.service.pool` — the persistent warm-worker pool
-  (boot once, serve many jobs over the framed protocol);
+* :mod:`~repro.service.worker` — the per-job executor and the worker
+  process body (``python -m repro.service.worker``);
+* :mod:`~repro.service.pool` — the worker pool (boot once, serve many
+  jobs over the framed protocol, or one job each under ``--no-pool``);
 * :mod:`~repro.service.proto` — length-prefixed JSON framing for the
   worker wire protocol;
 * :mod:`~repro.service.store` — the persistent content-addressed
@@ -50,20 +49,8 @@ from .job import (
     fingerprint_env,
     fingerprint_source,
 )
-from .planner import (
-    IMPACT_ENV_VAR,
-    BatchImpact,
-    build_batch_impact,
-    default_impact_mode,
-    verify_impact,
-)
-from .pool import (
-    MAX_JOBS_ENV_VAR,
-    POOL_ENV_VAR,
-    WorkerPool,
-    default_max_jobs,
-    default_pool,
-)
+from .planner import BatchImpact, build_batch_impact, verify_impact
+from .pool import WorkerPool
 from .scheduler import (
     JOBS_ENV_VAR,
     BatchOptions,
@@ -72,7 +59,6 @@ from .scheduler import (
     default_jobs,
     inprocess_runner,
     run_batch,
-    subprocess_runner,
 )
 from .store import STORE_ENV_VAR, ResultStore, default_store_dir
 
@@ -83,14 +69,11 @@ __all__ = [
     "CRASH_EXIT_CODE",
     "FaultInjected",
     "FaultPlan",
-    "IMPACT_ENV_VAR",
     "JOBS_ENV_VAR",
     "JobError",
     "JobOutcome",
     "JobTimeout",
     "LIVE_SETUP",
-    "MAX_JOBS_ENV_VAR",
-    "POOL_ENV_VAR",
     "RepairJob",
     "ResultStore",
     "STATUS_CACHED",
@@ -104,15 +87,11 @@ __all__ = [
     "WorkerCrash",
     "WorkerPool",
     "build_batch_impact",
-    "default_impact_mode",
     "default_jobs",
-    "default_max_jobs",
-    "default_pool",
     "default_store_dir",
     "fingerprint_env",
     "fingerprint_source",
     "inprocess_runner",
     "run_batch",
-    "subprocess_runner",
     "verify_impact",
 ]

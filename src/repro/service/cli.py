@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import signal
 import sys
@@ -25,6 +26,20 @@ from .job import JobError
 from .manifest import load_manifest
 from .scheduler import BatchOptions, default_jobs, run_batch
 from .store import ResultStore, default_store_dir
+
+
+def finite_seconds(text: str) -> float:
+    """An ``argparse`` type: a finite number of seconds.
+
+    ``float`` alone accepts ``inf`` and ``nan``, which no deadline can
+    mean.
+    """
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds, got {text!r}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "bound the store to N records, evicting least-recently-"
-            "used (default: $REPRO_SERVICE_STORE_MAX, else unbounded)"
+            "used (default: unbounded)"
         ),
     )
     parser.add_argument(
@@ -77,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=finite_seconds,
         default=None,
         metavar="S",
         help="per-job timeout in seconds (default: none)",
@@ -89,22 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="retry budget for crashed workers (default: 2)",
     )
-    pool_group = parser.add_mutually_exclusive_group()
-    pool_group.add_argument(
-        "--pool",
-        dest="pool",
-        action="store_true",
-        default=None,
-        help=(
-            "serve parallel batches from the persistent warm-worker "
-            "pool (default: $REPRO_POOL, on when unset)"
-        ),
-    )
-    pool_group.add_argument(
+    parser.add_argument(
         "--no-pool",
         dest="pool",
         action="store_false",
-        help="launch one hermetic worker subprocess per attempt instead",
+        help=(
+            "retire each worker after one job, so every attempt runs "
+            "in a fresh process (default: workers stay warm)"
+        ),
     )
     parser.add_argument(
         "--fault-plan",
@@ -117,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "build/reuse a change-impact plan and skip jobs it "
-            "certifies unaffected (also: $REPRO_IMPACT=1)"
+            "certifies unaffected"
         ),
     )
     parser.add_argument(
@@ -125,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "escape hatch: run everything, then differentially assert "
-            "every job the plan would have skipped was byte-identical "
-            "(also: $REPRO_IMPACT=check); exits 3 on a violation"
+            "every job the plan would have skipped was byte-identical; "
+            "exits 3 on a violation"
         ),
     )
     parser.add_argument(
@@ -211,16 +218,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         MODE_CHECK,
         MODE_PRUNE,
         build_batch_impact,
-        default_impact_mode,
         verify_impact,
     )
 
+    impact_mode: Optional[str] = None
     if args.impact:
-        impact_mode: Optional[str] = MODE_PRUNE
+        impact_mode = MODE_PRUNE
     elif args.no_impact:
         impact_mode = MODE_CHECK
-    else:
-        impact_mode = default_impact_mode()
     impact = None
     if impact_mode is not None:
         from ..analysis.impact import PlanStore

@@ -15,33 +15,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..core.repair import needs_repair
 from ..kernel.env import Environment
-from ..kernel.term import collect_globals, mentions_global
+from ..kernel.term import collect_globals
 from .job import RepairJob
-
-
-def needs_repair(
-    env: Environment, name: str, old_globals: Sequence[str]
-) -> bool:
-    """True when ``name`` is a constant the repair must rewrite.
-
-    Mirrors ``RepairSession._needs_repair`` for a fresh session: a
-    defined constant (not an auto-generated recursor) whose type or body
-    mentions one of the old globals.
-    """
-    if not env.has_constant(name):
-        return False
-    if name.endswith("_rect") and env.has_inductive(name[: -len("_rect")]):
-        return False
-    decl = env.constant(name)
-    if decl.body is None:
-        return False
-    for old in old_globals:
-        if mentions_global(decl.body, old) or mentions_global(
-            decl.type, old
-        ):
-            return True
-    return False
 
 
 def _declaration_position(env: Environment, name: str) -> int:

@@ -8,8 +8,8 @@ from the plan store when the fingerprint matches, rebuilding and
 persisting otherwise — and wraps them as a :class:`BatchImpact` the
 scheduler consults per job.
 
-Two consumption modes, selected by ``--impact``/``--no-impact`` or
-``$REPRO_IMPACT``:
+Two consumption modes, selected by ``--impact``/``--no-impact`` (or
+the ``impact``/``no-impact`` keyword of ``Repair Batch``):
 
 * **prune** — :attr:`BatchOptions.impact
   <repro.service.scheduler.BatchOptions.impact>` is set; jobs whose
@@ -29,7 +29,6 @@ correctness.
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.impact import (
@@ -43,23 +42,8 @@ from ..kernel.env import Environment
 from .job import LIVE_SETUP, STATUS_SKIPPED_UNAFFECTED, JobError, RepairJob
 from .scheduler import BatchReport
 
-#: Environment variable selecting the default impact mode:
-#: ``1``/``prune`` prunes, ``check`` runs the differential gate,
-#: empty/``0`` disables.
-IMPACT_ENV_VAR = "REPRO_IMPACT"
-
 MODE_PRUNE = "prune"
 MODE_CHECK = "check"
-
-
-def default_impact_mode() -> Optional[str]:
-    """The mode ``$REPRO_IMPACT`` asks for, or None when unset/off."""
-    raw = os.environ.get(IMPACT_ENV_VAR, "").strip().lower()
-    if raw in ("", "0", "no", "off", "false"):
-        return None
-    if raw in (MODE_CHECK, "verify", "differential"):
-        return MODE_CHECK
-    return MODE_PRUNE
 
 
 #: One environment a batch repairs in: the plan cache key within a batch.

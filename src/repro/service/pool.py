@@ -1,12 +1,14 @@
-"""The persistent warm-worker pool.
+"""The worker pool: every job that leaves the calling process runs here.
 
 :class:`WorkerPool` keeps up to ``width`` long-lived
-``python -m repro.service.worker --serve`` processes.  Each worker pays
+``python -m repro.service.worker`` processes.  Each worker pays
 interpreter startup, the ``repro`` import graph, and (per setup) one
 environment boot exactly once, then serves many jobs over the framed
 stdin/stdout protocol of :mod:`repro.service.proto` — warm jobs skip
 boot entirely, which is where the per-job wall time goes on small
-repairs.
+repairs.  ``max_jobs_per_worker=1`` is per-attempt mode (``--no-pool``):
+every attempt gets a fresh process, through the same spawn, deadline,
+crash and frame code.
 
 Lifecycle, from the scheduler's point of view:
 
@@ -26,8 +28,9 @@ Lifecycle, from the scheduler's point of view:
   it (a fresh process re-imports the edited setup module; re-importing
   in-process would fight ``importlib`` caching) and re-dispatches,
   bounded by :data:`STALE_BOUNCES`;
-* **recycle** — after :func:`default_max_jobs` jobs a worker is
-  gracefully replaced, bounding any slow memory growth;
+* **recycle** — after ``max_jobs_per_worker`` jobs (default
+  :data:`DEFAULT_MAX_JOBS`) a worker is gracefully replaced, bounding
+  any slow memory growth;
 * **drain** — :meth:`WorkerPool.shutdown` sends every idle worker a
   ``shutdown`` frame, waits briefly, and hard-kills stragglers.
 
@@ -49,16 +52,16 @@ from collections import deque
 from typing import IO, Any, Callable, Deque, Dict, List, Optional, Set
 
 from .faults import CRASH_EXIT_CODE, FaultPlan, JobTimeout, WorkerCrash
-from .proto import FrameStream, FrameTimeout, ProtocolError, StreamClosed
+from .proto import (
+    FrameStream,
+    FrameTimeout,
+    ProtocolError,
+    StreamClosed,
+    write_frame,
+)
 
-#: Environment variable toggling the warm pool for parallel batches
-#: ("0"/"false"/"no"/"off" disable it; anything else, or unset, enables).
-POOL_ENV_VAR = "REPRO_POOL"
-
-#: Environment variable bounding jobs served per worker before recycle.
-MAX_JOBS_ENV_VAR = "REPRO_POOL_MAX_JOBS"
-
-#: Default recycle threshold when ``$REPRO_POOL_MAX_JOBS`` is unset.
+#: Jobs a worker serves before it is recycled, unless the pool is given
+#: its own ``max_jobs_per_worker``.
 DEFAULT_MAX_JOBS = 64
 
 #: How many consecutive ``stale`` answers one job may bounce through
@@ -69,20 +72,10 @@ STALE_BOUNCES = 2
 #: Grace period for a retiring worker to exit after its shutdown frame.
 _DRAIN_GRACE_S = 5.0
 
-_FALSY = ("0", "false", "no", "off")
-
 #: Every live pool, for emergency teardown on SIGTERM/SIGINT.  Weak so
 #: an abandoned pool can still be collected; a registered pool whose
 #: owner forgot to drain it is exactly what the emergency path is for.
 _LIVE_POOLS: "weakref.WeakSet[WorkerPool]" = weakref.WeakSet()
-
-#: One-shot worker subprocesses (the ``--no-pool`` runner), same deal.
-_LIVE_SOLO: "weakref.WeakSet[subprocess.Popen[Any]]" = weakref.WeakSet()
-
-
-def register_solo_worker(process: "subprocess.Popen[Any]") -> None:
-    """Track a one-shot worker so emergency teardown can reach it."""
-    _LIVE_SOLO.add(process)
 
 
 def emergency_shutdown() -> int:
@@ -94,36 +87,7 @@ def emergency_shutdown() -> int:
     blocked on those workers' pipes would otherwise keep the normal
     drain from ever finishing).  Safe to call repeatedly.
     """
-    killed = 0
-    for pool in list(_LIVE_POOLS):
-        killed += pool.kill()
-    for process in list(_LIVE_SOLO):
-        if process.poll() is None:
-            kill_process_group(process)
-            killed += 1
-    return killed
-
-
-def default_pool() -> bool:
-    """Whether parallel batches use the warm pool by default.
-
-    ``$REPRO_POOL`` set to a falsy word disables it; unset or anything
-    else enables it.
-    """
-    raw = os.environ.get(POOL_ENV_VAR)
-    if raw is None:
-        return True
-    return raw.strip().lower() not in _FALSY
-
-
-def default_max_jobs() -> int:
-    """``$REPRO_POOL_MAX_JOBS`` when a positive int, else the default."""
-    raw = os.environ.get(MAX_JOBS_ENV_VAR, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_MAX_JOBS
-    return value if value >= 1 else DEFAULT_MAX_JOBS
+    return sum(pool.kill() for pool in list(_LIVE_POOLS))
 
 
 def worker_environ(fault_plan: Optional[FaultPlan] = None) -> Dict[str, str]:
@@ -164,11 +128,11 @@ def kill_process_group(process: "subprocess.Popen[Any]") -> None:
 
 
 class PoolWorker:
-    """One live ``--serve`` worker process plus its framed streams."""
+    """One live worker process plus its framed streams."""
 
     def __init__(self, environ: Dict[str, str]) -> None:
         self.process: "subprocess.Popen[bytes]" = subprocess.Popen(
-            [sys.executable, "-m", "repro.service.worker", "--serve"],
+            [sys.executable, "-m", "repro.service.worker"],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -202,8 +166,6 @@ class PoolWorker:
         :class:`~repro.service.proto.StreamClosed`, or
         ``BrokenPipeError`` — the caller owns the kill/retire decision.
         """
-        from .proto import write_frame
-
         write_frame(self._stdin, message)
         return self.stream.read_frame(deadline)
 
@@ -228,17 +190,27 @@ class PoolWorker:
         return "; ".join(text.splitlines()[-lines:]) if text else ""
 
     def retire(self) -> None:
-        """Graceful exit: shutdown frame, short wait, then hard kill."""
-        from .proto import write_frame
+        """Graceful exit: shutdown frame, wait for EOF, then hard kill.
 
+        Like ``communicate``, this waits on the worker's stdout, which
+        reaches EOF the moment the worker exits; ``Popen.wait`` with a
+        timeout polls with doubling sleeps that overshoot the exit.
+        """
         try:
             write_frame(self._stdin, {"op": "shutdown"})
             self._stdin.close()
         except (BrokenPipeError, OSError, ValueError):
             pass
+        deadline = time.monotonic() + _DRAIN_GRACE_S
         try:
-            self.process.wait(timeout=_DRAIN_GRACE_S)
-        except subprocess.TimeoutExpired:
+            while True:  # the farewell frame, then EOF
+                self.stream.read_frame(deadline)
+        except StreamClosed:
+            try:
+                self.process.wait(timeout=_DRAIN_GRACE_S)
+            except subprocess.TimeoutExpired:
+                kill_process_group(self.process)
+        except (FrameTimeout, ProtocolError, OSError):
             kill_process_group(self.process)
         self._close_pipes()
 
@@ -273,7 +245,7 @@ class WorkerPool:
         self.max_jobs_per_worker = (
             max_jobs_per_worker
             if max_jobs_per_worker and max_jobs_per_worker >= 1
-            else default_max_jobs()
+            else DEFAULT_MAX_JOBS
         )
         self._environ = worker_environ(fault_plan)
         self._lock = threading.Lock()
@@ -410,12 +382,12 @@ class WorkerPool:
         attempt: int,
         timeout_s: Optional[float] = None,
     ) -> Dict[str, Any]:
-        """Run one attempt on a warm worker; scheduler-compatible errors.
+        """Run one attempt on a worker; scheduler-compatible errors.
 
         Timeouts kill (and replace) only the worker that missed the
         deadline; crashes surface as retryable
-        :class:`~repro.service.faults.WorkerCrash` exactly like the
-        per-attempt subprocess runner's.
+        :class:`~repro.service.faults.WorkerCrash`.  Any other error
+        destroys the worker too, so no attempt can keep its slot.
         """
         target = payload.get("target", "?")
         bounces = 0
@@ -455,6 +427,9 @@ class WorkerPool:
                 raise WorkerCrash(
                     f"warm worker for {target!r} broke protocol: {exc}"
                 ) from None
+            except BaseException:
+                self._destroy(worker, "crashes")
+                raise
             op = reply.get("op")
             if op == "result":
                 record = reply.get("record")
@@ -493,15 +468,7 @@ class WorkerPool:
         [Dict[str, Any], int, Optional[float]], Dict[str, Any]
     ]:
         """This pool as a scheduler ``Runner`` (payload, attempt, timeout)."""
-
-        def run(
-            payload: Dict[str, Any],
-            attempt: int,
-            timeout_s: Optional[float],
-        ) -> Dict[str, Any]:
-            return self.run_job(payload, attempt, timeout_s)
-
-        return run
+        return self.run_job
 
     # -- Introspection -----------------------------------------------------
 

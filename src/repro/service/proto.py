@@ -1,10 +1,9 @@
 """Length-prefixed JSON framing for the worker wire protocol.
 
-Workers talk to the scheduler over stdin/stdout.  The old one-shot
-protocol was "scan stdout backwards for a line starting with ``{``",
-which silently mis-parses the moment a worker (or anything it imports)
-prints a ``{``-prefixed log line.  Every worker message is now a
-*frame*::
+Workers talk to the scheduler over stdin/stdout.  Scanning stdout
+for a line starting with ``{`` would silently mis-parse the moment a
+worker (or anything it imports) printed a ``{``-prefixed log line, so
+every worker message is a *frame*::
 
     @repro-frame <length>\\n
     <length bytes of UTF-8 JSON>\\n
@@ -15,10 +14,8 @@ non-frame output — progress prints, library warnings, a noisy
 Both directions use the same format: requests flow worker-ward on
 stdin, responses flow scheduler-ward on stdout.
 
-Three readers cover the three consumers:
+Two readers cover the two consumers:
 
-* :func:`last_frame` — parse a *complete* captured stdout (the one-shot
-  ``subprocess_runner`` path) and return the final frame;
 * :class:`FrameStream` — incremental, deadline-aware reads from a live
   pipe (the :mod:`repro.service.pool` side), built on ``select`` +
   ``os.read`` so per-job timeouts can interrupt a blocking read;
@@ -32,7 +29,7 @@ import json
 import os
 import select
 import time
-from typing import Any, BinaryIO, Dict, Iterator, List, Optional
+from typing import Any, BinaryIO, Dict, Iterator, Optional
 
 #: Frame-header sentinel; the space before the length is mandatory.
 MAGIC = "@repro-frame"
@@ -44,6 +41,11 @@ _MAGIC_B = MAGIC.encode("ascii") + b" "
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _READ_CHUNK = 65536
+
+#: Longest single ``select`` wait.  ``select`` refuses a timeout past the
+#: platform's ``time_t`` with ``OverflowError``, so a far-off deadline
+#: (``timeout_s=1e300`` or infinity) is waited out in steps of this size.
+_MAX_WAIT_S = 3600.0
 
 
 class ProtocolError(Exception):
@@ -129,32 +131,6 @@ class FrameParser:
             return message
 
 
-def parse_frames(data: bytes) -> List[Dict[str, Any]]:
-    """Every valid frame in a complete captured byte stream, in order.
-
-    Frames whose body fails to decode are skipped (in a post-mortem
-    parse there is no peer left to fail loudly at); interleaved noise is
-    ignored as always.
-    """
-    parser = FrameParser()
-    parser.feed(data)
-    frames: List[Dict[str, Any]] = []
-    while True:
-        try:
-            frame = parser.next_frame()
-        except ProtocolError:
-            continue
-        if frame is None:
-            return frames
-        frames.append(frame)
-
-
-def last_frame(text: str) -> Optional[Dict[str, Any]]:
-    """The final frame in a captured stdout text, or None."""
-    frames = parse_frames(text.encode("utf-8"))
-    return frames[-1] if frames else None
-
-
 class FrameStream:
     """Deadline-aware frame reads from a live pipe file descriptor.
 
@@ -181,15 +157,15 @@ class FrameStream:
             frame = self._parser.next_frame()
             if frame is not None:
                 return frame
-            if deadline is None:
-                timeout: Optional[float] = None
-            else:
+            timeout: Optional[float] = None
+            if deadline is not None:
                 timeout = deadline - time.monotonic()
                 if timeout <= 0:
                     raise FrameTimeout("deadline passed awaiting a frame")
+                timeout = min(timeout, _MAX_WAIT_S)
             ready, _, _ = select.select([self._fd], [], [], timeout)
             if not ready:
-                raise FrameTimeout("deadline passed awaiting a frame")
+                continue  # the loop re-checks the deadline
             chunk = os.read(self._fd, _READ_CHUNK)
             if not chunk:
                 raise StreamClosed("stream closed before a complete frame")

@@ -7,17 +7,17 @@ into per-job outcomes:
    edges (cycles and dangling references are rejected up front);
 2. when a job becomes ready, the persistent store is consulted — a hit
    completes it as ``cached`` without any repair work;
-3. misses are dispatched to the worker pool — a
-   :class:`concurrent.futures.ThreadPoolExecutor` whose threads drive
-   either the persistent warm-worker pool
-   (:class:`~repro.service.pool.WorkerPool`, the default for
-   ``--jobs N`` / ``$REPRO_JOBS`` above 1: long-lived workers that boot
-   once and keep their environments resident) or, under ``--no-pool``,
-   one hermetic worker *subprocess* per attempt; either way a crashing
-   worker takes down only its own job, never the pool (the reason this
-   is not a ``ProcessPoolExecutor``: one abrupt child death there
-   poisons every pending future with ``BrokenProcessPool``);
-   ``--jobs 1`` uses a deterministic in-process executor instead;
+3. misses are dispatched by one loop whatever the width.  Above
+   ``--jobs 1`` (or ``$REPRO_JOBS``), the threads of a
+   :class:`concurrent.futures.ThreadPoolExecutor` drive a
+   :class:`~repro.service.pool.WorkerPool`: long-lived workers that
+   boot once and keep their environments resident, or, under
+   ``--no-pool``, workers recycled after one job, so every attempt gets
+   a fresh process.  Either way a crashing worker takes down only its
+   own job, never the pool (the reason this is not a
+   ``ProcessPoolExecutor``: one abrupt child death there poisons every
+   pending future with ``BrokenProcessPool``).  ``--jobs 1`` runs each
+   attempt inline through a deterministic in-process executor;
 4. crashes and injected errors are retried with bounded backoff;
    timeouts are reported as ``timeout``; deterministic repair failures
    as ``failed``; and every job downstream of a non-ok job is marked
@@ -30,10 +30,7 @@ additionally nests a ``service_job`` span per attempt.
 
 from __future__ import annotations
 
-import json
 import os
-import subprocess
-import sys
 import time
 import warnings
 from collections import deque
@@ -54,7 +51,7 @@ from typing import (
 )
 
 from ..obs import span
-from .faults import CRASH_EXIT_CODE, FaultPlan, JobTimeout, WorkerCrash
+from .faults import FaultPlan, JobTimeout, WorkerCrash
 from .job import (
     SCHEMA_VERSION,
     STATUS_CACHED,
@@ -67,14 +64,7 @@ from .job import (
     RepairJob,
     result_digest,
 )
-from .pool import (
-    WorkerPool,
-    default_pool,
-    kill_process_group,
-    register_solo_worker,
-    worker_environ,
-)
-from .proto import last_frame
+from .pool import WorkerPool
 from .store import ResultStore
 from .graph import toposort
 
@@ -114,17 +104,14 @@ class BatchOptions:
     #: plan certifies ``unaffected`` complete as ``skipped-unaffected``
     #: without dispatching a worker.
     impact: Optional["BatchImpact"] = None
-    #: Serve parallel batches from the persistent warm-worker pool
-    #: (:mod:`repro.service.pool`) instead of one subprocess per
-    #: attempt.  None resolves from ``$REPRO_POOL`` (default on); only
-    #: consulted when ``jobs > 1`` and no explicit runner is passed.
-    pool: Optional[bool] = None
+    #: Keep parallel batches' workers warm across jobs; False recycles
+    #: each worker after one job (``--no-pool``).  Only consulted when
+    #: ``jobs > 1`` and no explicit runner is passed.
+    pool: bool = True
 
     def __post_init__(self) -> None:
         if self.jobs <= 0:
             self.jobs = default_jobs()
-        if self.pool is None:
-            self.pool = default_pool()
 
 
 @dataclass
@@ -183,8 +170,8 @@ class BatchReport:
     store_misses: int = 0
     max_queue_depth: int = 0
     worker_utilization: float = 0.0
-    #: Warm-pool lifecycle counters (:meth:`WorkerPool.stats`), present
-    #: only when the batch ran on the pool.
+    #: Worker-pool lifecycle counters (:meth:`WorkerPool.stats`), present
+    #: only when the batch ran on a pool it owned.
     pool: Optional[Dict[str, Any]] = None
 
     @property
@@ -295,8 +282,11 @@ def _job_alarm(timeout_s: Optional[float]) -> Iterator[None]:
         raise JobTimeout(f"job exceeded {timeout_s}s")
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, float(timeout_s or 0))
     try:
+        try:
+            signal.setitimer(signal.ITIMER_REAL, float(timeout_s or 0))
+        except OverflowError:
+            pass  # past the platform's time_t: a deadline never reached
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
@@ -304,8 +294,14 @@ def _job_alarm(timeout_s: Optional[float]) -> Iterator[None]:
 
 
 def inprocess_runner(fault_plan: Optional[FaultPlan] = None) -> Runner:
-    """The deterministic in-process executor (``--jobs 1`` and tests)."""
-    from .worker import run_job
+    """The deterministic in-process executor (``--jobs 1`` and tests).
+
+    Each attempt boots its environment into a fresh resident table:
+    keeping residents across attempts is only safe behind a pool
+    worker's process boundary, since a SIGALRM timeout can land inside
+    the rollback that restores one.
+    """
+    from .worker import attempt_job, execute_warm
 
     def run(
         payload: Dict[str, Any], attempt: int, timeout_s: Optional[float]
@@ -317,69 +313,30 @@ def inprocess_runner(fault_plan: Optional[FaultPlan] = None) -> Runner:
             attempt=attempt,
         ):
             with _job_alarm(timeout_s):
-                return run_job(payload, attempt, fault_plan, in_process=True)
+                return attempt_job(
+                    lambda: execute_warm({}, payload),
+                    payload,
+                    attempt,
+                    fault_plan,
+                    in_process=True,
+                )
 
     return run
 
 
-def subprocess_runner(fault_plan: Optional[FaultPlan] = None) -> Runner:
-    """One hermetic worker subprocess per attempt.
+def _run_inline(runner: Runner, *args: Any) -> Future:
+    """Run one attempt on the calling thread; return it as a done future.
 
-    Crash isolation is the point: a worker that dies (injected crash,
-    OOM kill, segfault) yields :class:`WorkerCrash` for *its* job only.
-    A worker that outlives the per-job timeout has its whole process
-    group killed (workers run ``start_new_session``, so children they
-    spawned die with them) and is reported as :class:`JobTimeout`.
-
-    The record comes back as the last frame of the worker's stdout (see
-    :mod:`repro.service.proto`); stray prints — even ``{``-prefixed
-    ones — are protocol noise, never mistaken for the result.
+    Serial batches submit through this rather than a thread, so the
+    in-process executor stays on the main thread, where it can arm
+    ``SIGALRM`` for ``--timeout``.
     """
-    environ = worker_environ(fault_plan)
-
-    def run(
-        payload: Dict[str, Any], attempt: int, timeout_s: Optional[float]
-    ) -> Dict[str, Any]:
-        request = json.dumps({"payload": payload, "attempt": attempt})
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro.service.worker"],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=environ,
-            start_new_session=True,
-        )
-        register_solo_worker(process)
-        try:
-            stdout, stderr = process.communicate(
-                request, timeout=timeout_s
-            )
-        except subprocess.TimeoutExpired:
-            kill_process_group(process)
-            process.communicate()
-            raise JobTimeout(
-                f"worker for {payload['target']!r} exceeded {timeout_s}s"
-            ) from None
-        if process.returncode != 0:
-            tail = (stderr or "").strip().splitlines()[-3:]
-            detail = "; ".join(tail) if tail else "no stderr"
-            kind = (
-                "crashed"
-                if process.returncode == CRASH_EXIT_CODE
-                else f"exited {process.returncode}"
-            )
-            raise WorkerCrash(
-                f"worker for {payload['target']!r} {kind}: {detail}"
-            )
-        record = last_frame(stdout or "")
-        if record is not None:
-            return record
-        raise WorkerCrash(
-            f"worker for {payload['target']!r} produced no result record"
-        )
-
-    return run
+    future: Future = Future()
+    try:
+        future.set_result(runner(*args))
+    except Exception as exc:  # noqa: BLE001 — finish_attempt triages it
+        future.set_exception(exc)
+    return future
 
 
 # -- The scheduler ------------------------------------------------------------
@@ -450,16 +407,6 @@ class _BatchState:
         return [self.outcomes[name] for name in self.order]
 
 
-@contextmanager
-def _pool_guard(pool: Optional[WorkerPool]) -> Iterator[None]:
-    """Drain a batch-owned worker pool however the batch exits."""
-    try:
-        yield
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-
 def _store_record(job: RepairJob, result: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -479,23 +426,25 @@ def run_batch(
 ) -> BatchReport:
     """Schedule ``jobs`` over the worker pool; return per-job outcomes.
 
-    ``runner`` defaults, when ``options.jobs > 1``, to the persistent
-    warm-worker pool (``options.pool``, i.e. ``--pool`` / ``$REPRO_POOL``)
-    or the per-attempt subprocess runner (``--no-pool``); serial batches
-    use the deterministic in-process executor.  A pool created here is
-    owned here: it is drained before the report is returned, and its
-    lifecycle counters land in ``report.pool``.  ``on_cached`` is
-    invoked for every store hit (live batches use it to replay the
+    ``runner`` defaults, when ``options.jobs > 1``, to a
+    :class:`WorkerPool` of that width whose workers stay warm
+    (``options.pool``) or retire after one job (``--no-pool``); serial
+    batches use the deterministic in-process executor.  A pool created
+    here is owned here: it is drained before the report is returned,
+    and its lifecycle counters land in ``report.pool``.  ``on_cached``
+    is invoked for every store hit (live batches use it to replay the
     cached definitions into the session environment).
     """
     options = options or BatchOptions()
     worker_pool: Optional[WorkerPool] = None
     if runner is None:
-        if options.jobs > 1 and options.pool:
-            worker_pool = WorkerPool(options.jobs, options.fault_plan)
-            runner = worker_pool.runner()
-        elif options.jobs > 1:
-            runner = subprocess_runner(options.fault_plan)
+        if options.jobs > 1:
+            worker_pool = WorkerPool(
+                options.jobs,
+                options.fault_plan,
+                max_jobs_per_worker=None if options.pool else 1,
+            )
+            runner = worker_pool.run_job
         else:
             runner = inprocess_runner(options.fault_plan)
     state = _BatchState(list(jobs))
@@ -617,104 +566,61 @@ def run_batch(
         if store is not None
         else nullcontext()
     )
-    with _pool_guard(worker_pool), pin_guard, span(
+    # Serial batches run each attempt inline (see _run_inline); wider
+    # ones on executor threads.  Either way one loop fills up to
+    # ``options.jobs`` attempts, retries first, and triages whichever
+    # finishes first.
+    executor: Optional[ThreadPoolExecutor] = None
+    submit: Callable[..., Future] = _run_inline
+    if options.jobs > 1:
+        executor = ThreadPoolExecutor(max_workers=options.jobs)
+        submit = executor.submit
+    in_flight: Dict[Future, Tuple[RepairJob, int, float]] = {}
+    retry_queue: Deque[Tuple[RepairJob, int]] = deque()
+    with worker_pool or nullcontext(), pin_guard, span(
         "service_batch", category="service", batch=batch, jobs=options.jobs
     ) as batch_span:
-        if options.jobs <= 1:
-            # Deterministic serial loop: ready order is completion order.
-            while state.ready:
-                job = state.ready.popleft()
-                report.max_queue_depth = max(
-                    report.max_queue_depth, len(state.ready) + 1
-                )
-                if resolve_impact(job):
-                    continue
-                if resolve_from_store(job):
-                    continue
-                attempt = 0
-                while True:
+        with executor or nullcontext():
+            while not state.done:
+                while (
+                    retry_queue or state.ready
+                ) and len(in_flight) < options.jobs:
+                    if retry_queue:
+                        job, attempt = retry_queue.popleft()
+                    else:
+                        job = state.ready.popleft()
+                        attempt = 0
+                        if resolve_impact(job) or resolve_from_store(job):
+                            continue
+                    queued = len(state.ready) + len(retry_queue)
+                    report.max_queue_depth = max(
+                        report.max_queue_depth, queued + len(in_flight) + 1
+                    )
                     backoff(attempt)
                     t0 = time.perf_counter()
+                    future = submit(
+                        runner, job.payload(), attempt, options.timeout_s
+                    )
+                    in_flight[future] = (job, attempt, t0)
+                if not in_flight:
+                    continue  # every remaining job resolved via cache/skip
+                done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
+                for future in done:
+                    job, attempt, t0 = in_flight.pop(future)
                     record: Optional[Dict[str, Any]] = None
                     error: Optional[BaseException] = None
                     try:
-                        record = runner(
-                            job.payload(), attempt, options.timeout_s
-                        )
-                    except (JobTimeout, WorkerCrash) as exc:
-                        error = exc
+                        record = future.result()
                     except Exception as exc:  # noqa: BLE001
                         error = exc
                     next_attempt = finish_attempt(
                         job, attempt, time.perf_counter() - t0, record, error
                     )
-                    if next_attempt is None:
-                        break
-                    attempt = next_attempt
-        else:
-            in_flight: Dict[Future, Tuple[RepairJob, int, float]] = {}
-            retry_queue: Deque[Tuple[RepairJob, int]] = deque()
-            with ThreadPoolExecutor(max_workers=options.jobs) as pool:
-                while not state.done:
-                    # Fill the pool from retries first, then fresh jobs.
-                    while (
-                        retry_queue or state.ready
-                    ) and len(in_flight) < options.jobs:
-                        if retry_queue:
-                            job, attempt = retry_queue.popleft()
-                        else:
-                            job = state.ready.popleft()
-                            attempt = 0
-                            if resolve_impact(job):
-                                continue
-                            if resolve_from_store(job):
-                                continue
-                        report.max_queue_depth = max(
-                            report.max_queue_depth,
-                            len(state.ready)
-                            + len(retry_queue)
-                            + len(in_flight)
-                            + 1,
-                        )
-                        backoff(attempt)
-                        future = pool.submit(
-                            runner, job.payload(), attempt, options.timeout_s
-                        )
-                        in_flight[future] = (
-                            job,
-                            attempt,
-                            time.perf_counter(),
-                        )
-                    if not in_flight:
-                        if state.done:
-                            break
-                        # Every remaining job resolved via cache/skip.
-                        continue
-                    done, _ = wait(
-                        set(in_flight), return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        job, attempt, t0 = in_flight.pop(future)
-                        record = None
-                        error = None
-                        try:
-                            record = future.result()
-                        except (JobTimeout, WorkerCrash) as exc:
-                            error = exc
-                        except Exception as exc:  # noqa: BLE001
-                            error = exc
-                        next_attempt = finish_attempt(
-                            job,
-                            attempt,
-                            time.perf_counter() - t0,
-                            record,
-                            error,
-                        )
-                        if next_attempt is not None:
-                            retry_queue.append((job, next_attempt))
+                    if next_attempt is not None:
+                        retry_queue.append((job, next_attempt))
         if worker_pool is not None:
             # Drain before reading the counters so they are final; the
-            # guard's later shutdown is an idempotent no-op.
+            # pool's own exit is then an idempotent no-op.
             worker_pool.shutdown()
             report.pool = worker_pool.stats()
         report.wall_time_s = time.perf_counter() - started

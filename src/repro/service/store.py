@@ -9,8 +9,8 @@ record; loads are corruption-tolerant — unreadable, non-JSON, or
 wrong-shape records count as misses and are overwritten by the next
 successful run, never propagated.
 
-The store can be bounded: ``max_entries`` (or
-``$REPRO_SERVICE_STORE_MAX``) caps the record count, and every ``put``
+The store can be bounded: ``max_entries`` (``--store-max-entries``)
+caps the record count, and every ``put``
 past the cap evicts least-recently-*used* records — a ``get`` hit
 freshens its record's mtime, so hot results survive while stale ones
 age out.  Keys pinned through :meth:`ResultStore.pin` are never
@@ -33,20 +33,6 @@ from .job import SCHEMA_VERSION
 #: Environment variable overriding the default store directory.
 STORE_ENV_VAR = "REPRO_SERVICE_STORE"
 
-#: Environment variable bounding the store's record count (LRU evicted).
-STORE_MAX_ENV_VAR = "REPRO_SERVICE_STORE_MAX"
-
-
-def default_max_entries() -> Optional[int]:
-    """``$REPRO_SERVICE_STORE_MAX`` when a positive int, else unbounded."""
-    raw = os.environ.get(STORE_MAX_ENV_VAR, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value >= 1 else None
-
-
 def default_store_dir() -> str:
     """``$REPRO_SERVICE_STORE``, else ``~/.cache/repro/service``."""
     override = os.environ.get(STORE_ENV_VAR)
@@ -67,9 +53,7 @@ class ResultStore:
         max_entries: Optional[int] = None,
     ) -> None:
         self.root = root if root is not None else default_store_dir()
-        if max_entries is None:
-            max_entries = default_max_entries()
-        #: Record-count bound; values below 1 mean unbounded.
+        #: Record-count bound; None or values below 1 mean unbounded.
         self.max_entries = (
             max_entries if max_entries and max_entries >= 1 else None
         )

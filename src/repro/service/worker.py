@@ -1,4 +1,4 @@
-"""The worker side of the batch engine: one job, hermetically.
+"""The worker side of the batch engine: one job at a time.
 
 A worker rebuilds its environment from the job's serialized module
 script (a dotted ``pkg.mod:fn`` reference to an environment builder),
@@ -9,26 +9,27 @@ session defined along the way (dependencies first — the replay order),
 the decompiled tactic script, a static-analysis report over the result,
 and the :class:`~repro.kernel.stats.KernelStats` delta the repair cost.
 
-Two entry points share the same implementation:
+:func:`execute_warm` is the one repair body for jobs that carry a setup
+script (live batches repair inside their session instead; see
+:mod:`repro.service.live`).  It has two callers:
 
-* :func:`run_job` — called in-process by the deterministic serial
-  executor (``--jobs 1`` and tests);
-* ``python -m repro.service.worker`` — the one-shot subprocess body,
-  reading one JSON payload on stdin and writing one framed JSON record
-  (see :mod:`repro.service.proto`) on stdout.  A crash-injected worker
-  exits with :data:`~repro.service.faults.CRASH_EXIT_CODE` and no
-  record;
-* ``python -m repro.service.worker --serve`` — the persistent body the
-  warm pool (:mod:`repro.service.pool`) launches: it boots once, then
-  serves framed requests off stdin until a ``shutdown`` request or EOF.
-  Booted environments stay resident between jobs (see
-  :func:`execute_warm`), which is the whole point of the pool.
+* ``python -m repro.service.worker`` — the process body the worker pool
+  (:mod:`repro.service.pool`) launches: it serves framed requests (see
+  :mod:`repro.service.proto`) off stdin until a ``shutdown`` request or
+  EOF, keeping booted environments resident between jobs.  A pool that
+  recycles each worker after one job (``--no-pool``) gets one fresh
+  process per attempt from the same body;
+* the in-process executor (``--jobs 1`` and tests), which passes a
+  fresh resident table per attempt, so every attempt boots from scratch.
+
+A crash-injected worker process exits with
+:data:`~repro.service.faults.CRASH_EXIT_CODE` and no record; in process,
+the injection raises :class:`~repro.service.faults.WorkerCrash` instead.
 """
 
 from __future__ import annotations
 
 import importlib
-import json
 import os
 import sys
 import time
@@ -216,27 +217,6 @@ def build_record(
     }
 
 
-def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one repair job against a freshly built environment."""
-    started = time.perf_counter()
-    before = _stats_snapshot()
-    env = build_environment(payload["setup"])
-    config = build_config(env, payload["config"])
-    session = RepairSession(
-        env,
-        config,
-        old_globals=tuple(payload["old"]),
-        rename=make_rename(payload.get("rename")),
-        skip=list(payload.get("skip") or ()) or None,
-    )
-    result = session.repair_constant(
-        payload["target"], new_name=payload.get("new_name")
-    )
-    record = build_record(env, session, result, before, started)
-    record["env_boot"] = "scratch"
-    return record
-
-
 # -- Warm execution (persistent workers) --------------------------------------
 
 
@@ -322,7 +302,7 @@ def attempt_job(
     Deterministic repair failures come back ``retryable: false``;
     injected errors come back ``retryable: true`` so the scheduler's
     bounded-retry path is exercised without real nondeterminism.
-    Injected crashes kill the process (subprocess workers) or raise
+    Injected crashes kill the process (pool workers) or raise
     :class:`~repro.service.faults.WorkerCrash` (in-process executors).
     """
     try:
@@ -351,40 +331,12 @@ def attempt_job(
         }
 
 
-def run_job(
-    payload: Dict[str, Any],
-    attempt: int = 0,
-    fault_plan: Optional[faults.FaultPlan] = None,
-    in_process: bool = False,
-) -> Dict[str, Any]:
-    """One hermetic attempt: rebuild the environment, then repair."""
-    return attempt_job(
-        lambda: execute_job(payload),
-        payload,
-        attempt,
-        fault_plan,
-        in_process,
-    )
-
-
 def _emit_noise() -> None:
     """Print the test-hook noise line, if configured (and flush it)."""
     noise = os.environ.get(NOISE_ENV_VAR)
     if noise:
         sys.stdout.write(noise + "\n")
         sys.stdout.flush()
-
-
-def _emit_record(record: Dict[str, Any]) -> None:
-    """Write one framed record to stdout, bracketed by optional noise.
-
-    Noise *after* the frame is the case the old reversed ``{``-line scan
-    mis-parsed; the framed protocol shrugs it off.
-    """
-    _emit_noise()
-    sys.stdout.flush()
-    write_frame(sys.stdout.buffer, record)
-    _emit_noise()
 
 
 def serve() -> int:
@@ -440,33 +392,9 @@ def serve() -> int:
         served += 1
         _emit_noise()
         write_frame(out, {"op": "result", "record": record})
-    return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Subprocess body: JSON payload on stdin, framed record on stdout.
-
-    With ``--serve``, runs the persistent framed loop (:func:`serve`)
-    instead of one job.
-    """
-    args = list(argv) if argv is not None else sys.argv[1:]
-    if "--serve" in args:
-        return serve()
-    raw = sys.stdin.read()
-    try:
-        envelope = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        _emit_record(
-            {"status": "failed", "error": f"bad payload: {exc}"}
-        )
-        return 0
-    payload = envelope.get("payload", envelope)
-    attempt = int(envelope.get("attempt", 0))
-    record = run_job(payload, attempt)
-    record["schema_version"] = SCHEMA_VERSION
-    _emit_record(record)
+        _emit_noise()
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(serve())

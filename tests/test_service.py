@@ -4,12 +4,11 @@ The scheduler-semantics tests drive :func:`run_batch` with stub runners
 (no kernel work), so retry/timeout/cascade logic is tested fast and in
 isolation; the end-to-end tests then run real repairs through the
 in-process executor, and a small parallel section exercises the
-subprocess pool with injected crashes (CI runs this file again at
+worker pool with injected crashes (CI runs this file again at
 ``--jobs 2`` plus a fault-injection sweep).
 """
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -506,7 +505,7 @@ class TestEndToEnd:
         assert outcome.attempts == 1
 
 
-# -- The subprocess pool -----------------------------------------------------
+# -- The worker pool ---------------------------------------------------------
 
 
 class TestParallelPool:
@@ -731,29 +730,3 @@ class TestRunLineNumbers:
             "(* setup *)\nConfigure list New.list\nRepair list New.list in app_nil_r\n"
         )
         assert len(results) == 2
-
-
-# -- Worker subprocess entry point -------------------------------------------
-
-
-class TestWorkerMain:
-    def test_worker_reads_stdin_writes_record(self):
-        import subprocess
-
-        payload = _quickstart_job().payload()
-        out = subprocess.run(
-            [sys.executable, "-m", "repro.service.worker"],
-            input=json.dumps({"payload": payload, "attempt": 0}),
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env={
-                **__import__("os").environ,
-                "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
-            },
-        )
-        assert out.returncode == 0
-        record = json.loads(out.stdout.strip().splitlines()[-1])
-        assert record["status"] == "ok"
-        assert record["new_name"] == "New.rev_app_distr"
-        assert record["schema_version"] == SCHEMA_VERSION

@@ -1,4 +1,4 @@
-"""Impact-pruned scheduling: skips, soundness, modes, CLI, vernacular.
+"""Impact-pruned scheduling: skips, soundness, CLI, vernacular.
 
 The contract under test: pruning with a change-impact plan must never
 change what a batch produces.  Certified-unaffected jobs complete as
@@ -25,13 +25,7 @@ from repro.service import (
 )
 from repro.service.cli import main as service_main
 from repro.service.job import LIVE_SETUP, result_digest
-from repro.service.planner import (
-    MODE_CHECK,
-    MODE_PRUNE,
-    BatchImpact,
-    _group_key,
-    default_impact_mode,
-)
+from repro.service.planner import MODE_CHECK, MODE_PRUNE, BatchImpact, _group_key
 from repro.service.synth import AFFECTED_TARGETS, SMALL_WIDTH, wide_jobs
 
 
@@ -179,32 +173,6 @@ class TestDifferentialGate:
         assert verify_impact(full, impact) == []
 
 
-class TestModes:
-    @pytest.mark.parametrize(
-        "raw,mode",
-        [
-            ("", None),
-            ("0", None),
-            ("off", None),
-            ("no", None),
-            ("false", None),
-            ("1", MODE_PRUNE),
-            ("prune", MODE_PRUNE),
-            ("yes", MODE_PRUNE),
-            ("check", MODE_CHECK),
-            ("verify", MODE_CHECK),
-            ("differential", MODE_CHECK),
-        ],
-    )
-    def test_env_var_selects_the_mode(self, monkeypatch, raw, mode):
-        monkeypatch.setenv("REPRO_IMPACT", raw)
-        assert default_impact_mode() == mode
-
-    def test_unset_means_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_IMPACT", raising=False)
-        assert default_impact_mode() is None
-
-
 class TestServiceCli:
     def _manifest(self, tmp_path):
         jobs = wide_jobs(small=True)
@@ -299,12 +267,3 @@ class TestRepairBatchCommand:
             "Repair Batch list New.list in add rev no-impact"
         )
         assert result.report.counts == {"ok": 2}
-
-    def test_env_var_defaults_the_vernacular_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_IMPACT", "1")
-        session = self._session()
-        result = session.execute("Repair Batch list New.list in add rev")
-        assert result.report.counts == {
-            "ok": 1,
-            STATUS_SKIPPED_UNAFFECTED: 1,
-        }

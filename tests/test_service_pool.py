@@ -1,7 +1,8 @@
-"""The framed worker protocol and the persistent warm-worker pool."""
+"""The framed worker protocol and the worker pool."""
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -17,25 +18,17 @@ from repro.service import (
     STATUS_TIMEOUT,
     WorkerPool,
     run_batch,
-    subprocess_runner,
 )
 from repro.service.job import fingerprint_source, result_digest
 from repro.service.cases import six_case_jobs
 from repro.service.faults import JobTimeout, WorkerCrash
 from repro.service.job import RepairJob
-from repro.service.pool import (
-    default_max_jobs,
-    default_pool,
-    kill_process_group,
-    worker_environ,
-)
+from repro.service.pool import kill_process_group, worker_environ
 from repro.service.proto import (
     FrameParser,
     FrameStream,
     ProtocolError,
     encode_frame,
-    last_frame,
-    parse_frames,
 )
 
 QUICKSTART_SETUP = "repro.service.cases:quickstart_env"
@@ -63,13 +56,28 @@ def _refactor_jobs():
     ]
 
 
+def _one_job_pool():
+    """Per-attempt mode: a fresh worker process for every attempt."""
+    return WorkerPool(1, max_jobs_per_worker=1)
+
+
 # -- The framed protocol ------------------------------------------------------
+
+
+def _frames(blob):
+    """Every frame a parser decodes from one complete byte blob."""
+    parser = FrameParser()
+    parser.feed(blob)
+    frames = []
+    while (frame := parser.next_frame()) is not None:
+        frames.append(frame)
+    return frames
 
 
 class TestFraming:
     def test_round_trip(self):
         message = {"op": "result", "record": {"status": "ok", "n": 3}}
-        frames = parse_frames(encode_frame(message))
+        frames = _frames(encode_frame(message))
         assert frames == [message]
 
     def test_json_body_is_the_last_stdout_line(self):
@@ -86,11 +94,11 @@ class TestFraming:
             + encode_frame({"op": "result", "real": True})
             + b'{"another": "lie"}\n'
         )
-        assert last_frame(blob.decode()) == {"op": "result", "real": True}
+        assert _frames(blob) == [{"op": "result", "real": True}]
 
     def test_multiple_frames_in_order(self):
         blob = encode_frame({"n": 1}) + b"noise\n" + encode_frame({"n": 2})
-        assert parse_frames(blob) == [{"n": 1}, {"n": 2}]
+        assert _frames(blob) == [{"n": 1}, {"n": 2}]
 
     def test_partial_feed_reassembles(self):
         whole = encode_frame({"key": "v" * 300})
@@ -104,8 +112,8 @@ class TestFraming:
         assert got == {"key": "v" * 300}
 
     def test_last_frame_none_without_frames(self):
-        assert last_frame("") is None
-        assert last_frame('{"status": "ok"}\nplain noise\n') is None
+        assert _frames(b"") == []
+        assert _frames(b'{"status": "ok"}\nplain noise\n') == []
 
     def test_undecodable_body_is_a_protocol_error(self):
         parser = FrameParser()
@@ -127,23 +135,41 @@ class TestFraming:
 
     def test_header_lookalike_noise_is_skipped(self):
         blob = b"@repro-frame not-a-length\n" + encode_frame({"ok": 1})
-        assert parse_frames(blob) == [{"ok": 1}]
+        assert _frames(blob) == [{"ok": 1}]
+
+    @pytest.mark.parametrize("far", [1e300, float("inf")])
+    def test_far_deadline_waits_instead_of_overflowing(self, far):
+        """``select`` refuses a wait past the platform ``time_t``; a
+        deadline that far off must still read the frame."""
+        read_fd, write_fd = os.pipe()
+        try:
+            os.write(write_fd, encode_frame({"n": 1}))
+            stream = FrameStream(read_fd)
+            assert stream.read_frame(time.monotonic() + far) == {"n": 1}
+        finally:
+            os.close(read_fd)
+            os.close(write_fd)
 
 
-# -- One-shot worker: noisy stdout --------------------------------------------
+# -- Noisy stdout -------------------------------------------------------------
 
 
 class TestNoisyWorker:
     def test_noisy_worker_record_still_parsed(self, monkeypatch):
-        """A worker printing ``{``-prefixed JSON diagnostics around its
-        record must not confuse the runner (satellite regression)."""
+        """A worker printing ``{``-prefixed JSON diagnostics on both
+        sides of its result frames must not confuse the pool: the noise
+        after one frame is read ahead of the next job's reply."""
         monkeypatch.setenv(
             "REPRO_WORKER_NOISE", '{"status": "failed", "error": "noise"}'
         )
-        runner = subprocess_runner()
-        record = runner(_quickstart_job().payload(), 0, 120)
-        assert record["status"] == STATUS_OK
-        assert record["new_name"] == "New.rev_app_distr"
+        with WorkerPool(1) as pool:
+            records = [
+                pool.run_job(_quickstart_job().payload(), 0, 120)
+                for _ in range(2)
+            ]
+        for record in records:
+            assert record["status"] == STATUS_OK
+            assert record["new_name"] == "New.rev_app_distr"
 
 
 # -- Serial executor: SIGALRM guard -------------------------------------------
@@ -232,7 +258,7 @@ class TestProcessGroupReaping:
 
 def _spawn_serve_worker():
     return subprocess.Popen(
-        [sys.executable, "-m", "repro.service.worker", "--serve"],
+        [sys.executable, "-m", "repro.service.worker"],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -303,7 +329,8 @@ class TestWorkerPool:
             second = pool.run_job(payload, 0, 120)
         assert first["env_boot"] == "scratch"
         assert second["env_boot"] == "warm"
-        hermetic = subprocess_runner()(payload, 0, 120)
+        with _one_job_pool() as one_job:
+            hermetic = one_job.run_job(payload, 0, 120)
         assert (
             result_digest(first)
             == result_digest(second)
@@ -331,7 +358,7 @@ class TestWorkerPool:
 
     def test_recycle_after_max_jobs_per_worker(self):
         payload = _quickstart_job().payload()
-        with WorkerPool(1, max_jobs_per_worker=1) as pool:
+        with _one_job_pool() as pool:
             first = pool.run_job(payload, 0, 120)
             second = pool.run_job(payload, 0, 120)
         assert first["status"] == second["status"] == STATUS_OK
@@ -408,7 +435,13 @@ class TestWorkerPool:
             jobs, BatchOptions(jobs=2, timeout_s=120, pool=False)
         )
         assert pooled.ok and hermetic.ok
-        assert hermetic.pool is None
+        # Per-attempt mode is the pool recycling every worker after one
+        # job: nothing runs warm, and every environment boots afresh.
+        assert hermetic.pool["warm_jobs"] == 0
+        assert hermetic.pool["recycled"] == hermetic.pool["jobs"] == 3
+        assert {o.result["env_boot"] for o in hermetic.outcomes} == {
+            "scratch"
+        }
         digests = lambda report: {  # noqa: E731
             o.job.name: result_digest(o.result) for o in report.outcomes
         }
@@ -460,43 +493,86 @@ class TestWorkerPool:
         pool.shutdown()
 
 
+# -- Timeouts past the platform time_t ---------------------------------------
+
+
+def _run_on_thread(call, join_s=60):
+    """``call()`` on a daemon thread; its result, or None if it hangs."""
+    results = []
+    thread = threading.Thread(
+        target=lambda: results.append(call()), daemon=True
+    )
+    thread.start()
+    thread.join(join_s)
+    return results[0] if results else None
+
+
+class TestFarTimeouts:
+    """A timeout no timer can hold means no deadline, never a wedge."""
+
+    def test_pool_serves_far_timeouts_and_keeps_its_slot(self):
+        payload = _quickstart_job().payload()
+        with WorkerPool(1) as pool:
+            for far in (1e300, float("inf")):
+                assert pool.run_job(payload, 0, far)["status"] == STATUS_OK
+            # Had an attempt kept the pool's one slot, this would block.
+            after = _run_on_thread(lambda: pool.run_job(payload, 0, 120))
+        assert after is not None, "the next job never got a worker"
+        assert after["status"] == STATUS_OK
+
+    def test_unexpected_error_destroys_the_worker_and_frees_its_slot(
+        self, monkeypatch
+    ):
+        from repro.service.pool import PoolWorker
+
+        payload = _quickstart_job().payload()
+        original = PoolWorker.request
+
+        def broken(self, message, deadline=None):
+            monkeypatch.setattr(PoolWorker, "request", original)
+            raise OverflowError("timestamp out of range for platform time_t")
+
+        monkeypatch.setattr(PoolWorker, "request", broken)
+        with WorkerPool(1) as pool:
+            with pytest.raises(OverflowError):
+                pool.run_job(payload, 0, 120)
+            after = _run_on_thread(lambda: pool.run_job(payload, 0, 120))
+        assert after is not None, "the failed attempt kept its slot"
+        assert after["status"] == STATUS_OK
+        assert pool.stats()["crashes"] == 1
+        assert pool.stats()["spawned"] == 2
+
+    def test_serial_batch_completes_and_restores_sigalrm(self):
+        before = signal.getsignal(signal.SIGALRM)
+        report = run_batch(
+            [_quickstart_job()], BatchOptions(jobs=1, timeout_s=1e300)
+        )
+        assert report.outcomes[0].status == STATUS_OK
+        assert signal.getsignal(signal.SIGALRM) is before
+
+    def test_cli_refuses_infinite_and_nan_timeouts(self, capsys):
+        from repro.service.cli import build_parser
+
+        parser = build_parser()
+        assert parser.parse_args(["--timeout", "1e300"]).timeout == 1e300
+        for value in ("inf", "-inf", "nan"):
+            with pytest.raises(SystemExit) as exit_info:
+                parser.parse_args(["--timeout", value])
+            assert exit_info.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
+
 # -- Defaults and CLI wiring --------------------------------------------------
 
 
 class TestPoolKnobs:
-    def test_default_pool_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POOL", raising=False)
-        assert default_pool() is True
-        for value in ("0", "false", "no", "off", "OFF"):
-            monkeypatch.setenv("REPRO_POOL", value)
-            assert default_pool() is False
-        monkeypatch.setenv("REPRO_POOL", "1")
-        assert default_pool() is True
-
-    def test_batch_options_resolve_pool_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL", "0")
-        assert BatchOptions(jobs=2).pool is False
-        monkeypatch.setenv("REPRO_POOL", "1")
-        assert BatchOptions(jobs=2).pool is True
-        assert BatchOptions(jobs=2, pool=False).pool is False
-
-    def test_default_max_jobs_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POOL_MAX_JOBS", raising=False)
-        assert default_max_jobs() == 64
-        monkeypatch.setenv("REPRO_POOL_MAX_JOBS", "7")
-        assert default_max_jobs() == 7
-        monkeypatch.setenv("REPRO_POOL_MAX_JOBS", "junk")
-        assert default_max_jobs() == 64
-
     def test_cli_pool_flags(self):
         from repro.service.cli import build_parser
 
         parser = build_parser()
-        assert parser.parse_args(["--six-cases"]).pool is None
-        assert parser.parse_args(["--six-cases", "--pool"]).pool is True
+        assert parser.parse_args(["--six-cases"]).pool is True
         assert parser.parse_args(["--six-cases", "--no-pool"]).pool is False
-        with pytest.raises(SystemExit):
-            parser.parse_args(["--six-cases", "--pool", "--no-pool"])
+        assert BatchOptions(jobs=2).pool is True
 
     def test_worker_environ_carries_knobs(self):
         plan = FaultPlan({"t": {0: "error"}})

@@ -1,6 +1,6 @@
-"""Bounded result-store retention: LRU pruning, pins, and the env knob.
+"""Bounded result-store retention: LRU pruning and pins.
 
-The store may be capped (``max_entries`` / ``$REPRO_SERVICE_STORE_MAX``)
+The store may be capped (``max_entries`` / ``--store-max-entries``)
 with least-recently-used eviction.  The load-bearing invariant: pruning
 must never evict a record an in-flight batch holds a reference to — the
 scheduler pins every batch key for the batch's duration.
@@ -13,11 +13,7 @@ from repro.service import BatchOptions, run_batch
 from repro.service.job import SCHEMA_VERSION, fingerprint_source
 from repro.service.job import RepairJob
 from repro.service.scheduler import inprocess_runner
-from repro.service.store import (
-    ResultStore,
-    STORE_MAX_ENV_VAR,
-    default_max_entries,
-)
+from repro.service.store import ResultStore
 
 QUICKSTART_SETUP = "repro.service.cases:quickstart_env"
 
@@ -88,19 +84,6 @@ class TestMaxEntries:
         for bound in (0, -5):
             store = ResultStore(str(tmp_path), max_entries=bound)
             assert store.max_entries is None
-
-    def test_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_MAX_ENV_VAR, "7")
-        assert default_max_entries() == 7
-        assert ResultStore(str(tmp_path)).max_entries == 7
-        # An explicit argument beats the environment.
-        assert ResultStore(str(tmp_path), max_entries=3).max_entries == 3
-        monkeypatch.setenv(STORE_MAX_ENV_VAR, "0")
-        assert default_max_entries() is None
-        monkeypatch.setenv(STORE_MAX_ENV_VAR, "not-a-number")
-        assert default_max_entries() is None
-        monkeypatch.delenv(STORE_MAX_ENV_VAR)
-        assert default_max_entries() is None
 
     def test_tempfiles_and_foreign_files_ignored(self, tmp_path):
         store = ResultStore(str(tmp_path), max_entries=2)
