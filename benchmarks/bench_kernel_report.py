@@ -26,13 +26,8 @@ import time
 
 from report_schema import make_report, write_report
 
-from repro.kernel.env import set_reduction_cache_default
 from repro.kernel.stats import KERNEL_STATS
-from repro.kernel.term import (
-    clear_term_caches,
-    set_hash_consing,
-    set_term_memo,
-)
+from repro.kernel.term import clear_term_caches, set_kernel_caches
 
 CASES = ("replica", "binary")
 
@@ -48,9 +43,7 @@ def _run_case(name: str) -> None:
 
 
 def _set_layers(enabled: bool) -> None:
-    set_hash_consing(enabled)
-    set_term_memo(enabled)
-    set_reduction_cache_default(enabled)
+    set_kernel_caches(enabled)
     clear_term_caches()
     KERNEL_STATS.reset()
 

@@ -97,60 +97,45 @@ def test_cache_speedup_summary(benchmark, rows):
     assert with_cache <= without_cache * 1.5
 
 
-def test_kernel_layer_ablation_grid(rows):
-    """Hash-consing/memoization x reduction-cache grid on end-to-end repair.
+def test_kernel_layer_ablation(rows):
+    """Every kernel cache layer on vs off, on end-to-end repair.
 
-    Runs the binary case study (parsers, proofs, repair, re-check) under
-    all four combinations of the kernel performance layers and reports
-    one row per cell, plus the all-on vs all-off speedup.  The term-op
-    memo tables ride on the interning axis: both belong to the
-    "hash-consed arena" half of the design.
+    Runs the binary case study (parsers, proofs, repair, re-check) with
+    the kernel's one cache switch on and then off (hash consing, the
+    term memo tables and the reduction cache together), reporting one
+    row per setting plus the speedup.
     """
     from repro.cases.binary import run_scenario
-    from repro.kernel.env import set_reduction_cache_default
     from repro.kernel.stats import KERNEL_STATS
-    from repro.kernel.term import (
-        clear_term_caches,
-        set_hash_consing,
-        set_term_memo,
-    )
+    from repro.kernel.term import clear_term_caches, set_kernel_caches
 
     timings = {}
-    prev_intern = set_hash_consing(True)
-    prev_memo = set_term_memo(True)
-    prev_cache = set_reduction_cache_default(True)
+    previous = set_kernel_caches(True)
     try:
-        for intern_on in (True, False):
-            for cache_on in (True, False):
-                set_hash_consing(intern_on)
-                set_term_memo(intern_on)
-                set_reduction_cache_default(cache_on)
-                clear_term_caches()
-                KERNEL_STATS.reset()
-                start = time.perf_counter()
-                run_scenario()
-                elapsed = time.perf_counter() - start
-                timings[(intern_on, cache_on)] = elapsed
-                whnf = KERNEL_STATS.counter("whnf")
-                rows(
-                    "kernel layers: interning "
-                    f"{'on' if intern_on else 'off'}, reduction cache "
-                    f"{'on' if cache_on else 'off'}",
-                    "hash-consed arena + kernel-wide reduction cache "
-                    "(Section 4.4 engineering)",
-                    f"binary repair {elapsed * 1000:.0f}ms, "
-                    f"intern hits {KERNEL_STATS.intern_hits}, "
-                    f"whnf hit rate {whnf.hit_rate:.0%}",
-                )
+        for enabled in (True, False):
+            set_kernel_caches(enabled)
+            clear_term_caches()
+            KERNEL_STATS.reset()
+            start = time.perf_counter()
+            run_scenario()
+            elapsed = time.perf_counter() - start
+            timings[enabled] = elapsed
+            whnf = KERNEL_STATS.counter("whnf")
+            rows(
+                f"kernel layers: {'on' if enabled else 'off'}",
+                "hash-consed arena + kernel-wide reduction cache "
+                "(Section 4.4 engineering)",
+                f"binary repair {elapsed * 1000:.0f}ms, "
+                f"intern hits {KERNEL_STATS.intern_hits}, "
+                f"whnf hit rate {whnf.hit_rate:.0%}",
+            )
     finally:
-        set_hash_consing(prev_intern)
-        set_term_memo(prev_memo)
-        set_reduction_cache_default(prev_cache)
+        set_kernel_caches(previous)
         clear_term_caches()
         KERNEL_STATS.reset()
 
-    both_on = timings[(True, True)]
-    both_off = timings[(False, False)]
+    both_on = timings[True]
+    both_off = timings[False]
     rows(
         "kernel layers: combined speedup",
         "aggressive caching keeps repair within the patience window",

@@ -5,8 +5,10 @@ changed type, but in realistic environments most declarations are
 provably untouched by a given configuration.  This pass classifies each
 declaration — using the environment's memoized direct-reference graph
 (:meth:`~repro.kernel.env.Environment.declaration_refs`, built on the
-``collect_globals`` memo) and a taint fixpoint from the configuration's
-old-side globals — into one of four verdicts:
+``collect_globals`` memo) and a BFS taint fixpoint from the
+configuration's old-side globals, the one the residual pass uses
+(:func:`~repro.analysis.residual.taint_closure`) — into one of four
+verdicts:
 
 * ``unaffected`` (RA401) — neither the type nor the body reaches an old
   global through any chain of references, delta-hidden ones included.
@@ -43,7 +45,6 @@ import hashlib
 import json
 import os
 import tempfile
-from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -61,6 +62,7 @@ from ..kernel.env import Environment
 from ..kernel.inductive import InductiveDecl
 from ..kernel.pretty import pretty
 from .diagnostics import Diagnostic, Report, Severity
+from .residual import taint_closure
 
 #: Version of the plan artifact layout.  Bumping it invalidates every
 #: persisted plan at once.
@@ -316,32 +318,6 @@ class RepairPlan:
 # -- Building a plan ----------------------------------------------------------
 
 
-def _taint_with_parents(
-    refs: Dict[str, FrozenSet[str]], old: FrozenSet[str]
-) -> Tuple[FrozenSet[str], Dict[str, str]]:
-    """BFS taint fixpoint; ``parents[n]`` is one step closer to ``old``.
-
-    BFS (rather than the naive loop) makes every recorded chain a
-    *shortest* evidence path, and keeps the pass linear in the number
-    of references.
-    """
-    reverse: Dict[str, List[str]] = {}
-    for name in sorted(refs):
-        for dep in refs[name]:
-            reverse.setdefault(dep, []).append(name)
-    tainted = set(old)
-    parents: Dict[str, str] = {}
-    queue = deque(sorted(old))
-    while queue:
-        current = queue.popleft()
-        for referent in reverse.get(current, ()):
-            if referent not in tainted:
-                tainted.add(referent)
-                parents[referent] = current
-                queue.append(referent)
-    return frozenset(tainted), parents
-
-
 def _chain(
     name: str,
     witness: str,
@@ -379,7 +355,7 @@ def build_plan(
     old = frozenset(old_globals)
     allowed = frozenset(allow)
     refs = env.declaration_refs()
-    tainted, parents = _taint_with_parents(refs, old)
+    tainted, parents = taint_closure(refs, old)
     entries: Dict[str, ImpactEntry] = {}
     for name in env.declaration_order():
         if env.has_inductive(name):

@@ -23,7 +23,8 @@ self-reference false positive.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Set, Tuple
+from collections import deque
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Tuple
 
 from ..kernel.env import Environment
 from ..kernel.pretty import pretty
@@ -40,26 +41,44 @@ from ..kernel.term import (
 from .diagnostics import Diagnostic, Severity
 
 
+def taint_closure(
+    refs: Dict[str, FrozenSet[str]], old: FrozenSet[str]
+) -> Tuple[FrozenSet[str], Dict[str, str]]:
+    """BFS taint fixpoint; ``parents[n]`` is one step closer to ``old``.
+
+    ``refs`` maps each global to the globals it references directly.
+    The tainted set holds ``old`` and every global that reaches it.
+    BFS (rather than rescanning every reference until nothing changes)
+    makes every recorded chain a *shortest* evidence path, and keeps
+    the pass linear in the number of references.
+    """
+    reverse: Dict[str, List[str]] = {}
+    for name in sorted(refs):
+        for dep in refs[name]:
+            reverse.setdefault(dep, []).append(name)
+    tainted = set(old)
+    parents: Dict[str, str] = {}
+    queue = deque(sorted(old))
+    while queue:
+        current = queue.popleft()
+        for referent in reverse.get(current, ()):
+            if referent not in tainted:
+                tainted.add(referent)
+                parents[referent] = current
+                queue.append(referent)
+    return frozenset(tainted), parents
+
+
 def tainted_globals(
     env: Environment, old_globals: Iterable[str]
 ) -> FrozenSet[str]:
     """Globals whose δ-unfolding transitively mentions an old global.
 
-    The result includes the old globals themselves.  Computed as a
-    reverse-dependency fixpoint over every declaration in ``env``,
-    using the environment's memoized direct-reference graph.
+    The result includes the old globals themselves: the
+    :func:`taint_closure` of the environment's memoized
+    direct-reference graph.
     """
-    old = frozenset(old_globals)
-    refs: Dict[str, FrozenSet[str]] = env.declaration_refs()
-    tainted: Set[str] = set(old)
-    changed = True
-    while changed:
-        changed = False
-        for name, deps in refs.items():
-            if name not in tainted and deps & tainted:
-                tainted.add(name)
-                changed = True
-    return frozenset(tainted)
+    return taint_closure(env.declaration_refs(), frozenset(old_globals))[0]
 
 
 def find_residuals(

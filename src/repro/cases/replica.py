@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.caching import TransformCache
 from ..core.repair import RepairResult, RepairSession
-from ..core.search.swap import find_constructor_mappings, swap_configuration
+from ..core.search.swap import swap_configuration
 from ..kernel.env import Environment
 from ..kernel.inductive import ConstructorDecl, InductiveDecl
 from ..kernel.term import Ind, SET, Term
@@ -293,13 +293,6 @@ def run_scenario(cache: Optional[TransformCache] = None) -> List[ReplicaVariant]
             )
         )
     return variants
-
-
-def count_type_correct_mappings(env: Environment, new_name: str) -> int:
-    """Count the type-correct mappings (24 for the Figure 16 change)."""
-    return sum(
-        1 for _ in find_constructor_mappings(env, "Old.Term", new_name)
-    )
 
 
 def declare_enum(env: Environment, name: str, size: int = 30) -> None:

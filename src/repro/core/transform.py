@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..kernel import term as _term
 from ..kernel.context import Context
 from ..kernel.env import Environment
 from ..kernel.reduce import beta_reduce, nf
@@ -53,7 +54,6 @@ from ..kernel.term import (
     lift,
     max_free_rel,
     mk_app,
-    term_memo_enabled,
 )
 from ..analysis.gate import rule_gate
 from .caching import TransformCache
@@ -518,7 +518,7 @@ class Transformer:
             )
             return beta_reduce(applied)
 
-        if not term_memo_enabled():
+        if not _term._caches_enabled:
             return _transform_rels(body, 0, on_rel)
         memo_key = (id(eta),) + tuple(id(p) for p in params)
         entry = self._eta_memos.get(memo_key)

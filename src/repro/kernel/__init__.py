@@ -19,7 +19,7 @@ from .inductive import (
     constructor_args_and_indices,
 )
 from .pretty import pretty
-from .reduce import beta_iota_reduce, beta_reduce, nf, whnf
+from .reduce import beta_reduce, nf, whnf
 from .term import (
     App,
     Const,
@@ -40,7 +40,7 @@ from .term import (
     clear_term_caches,
     count_nodes,
     free_rels,
-    hash_consing_enabled,
+    kernel_caches_enabled,
     lift,
     max_free_rel,
     mentions_global,
@@ -49,17 +49,15 @@ from .term import (
     mk_pis,
     occurs_rel,
     replace_subterm,
-    set_hash_consing,
-    set_term_memo,
+    set_kernel_caches,
     subst,
     subst_many,
-    term_memo_enabled,
     type_sort,
     unfold_app,
     unfold_lams,
     unfold_pis,
 )
-from .env import ReductionCache, set_reduction_cache_default
+from .env import ReductionCache
 from .stats import KERNEL_STATS, CacheCounter, EventCounter, KernelStats
 from .typecheck import TypeError_, check, infer, infer_sort, typecheck_closed
 
@@ -92,7 +90,6 @@ __all__ = [
     "KernelStats",
     "ReductionCache",
     "abstract_term",
-    "beta_iota_reduce",
     "beta_reduce",
     "case_type",
     "check",
@@ -102,9 +99,9 @@ __all__ = [
     "conv",
     "count_nodes",
     "free_rels",
-    "hash_consing_enabled",
     "infer",
     "infer_sort",
+    "kernel_caches_enabled",
     "lift",
     "max_free_rel",
     "mentions_global",
@@ -115,13 +112,10 @@ __all__ = [
     "occurs_rel",
     "pretty",
     "replace_subterm",
-    "set_hash_consing",
-    "set_reduction_cache_default",
-    "set_term_memo",
+    "set_kernel_caches",
     "sub",
     "subst",
     "subst_many",
-    "term_memo_enabled",
     "type_sort",
     "typecheck_closed",
     "unfold_app",

@@ -20,13 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple
 
-from .term import (
-    Term,
-    TermError,
-    lift,
-    register_term_cache,
-    term_memo_enabled,
-)
+from . import term as _term
+from .term import Term, TermError, lift, register_term_cache
 
 #: (id(parent), name, id(type)) -> (parent, type, child); the value pins
 #: the key's referents so their ids cannot be recycled while it lives.
@@ -46,7 +41,7 @@ class Context:
 
     def push(self, name: str, ty: Term) -> "Context":
         """Extend the context with a new innermost binder."""
-        if not term_memo_enabled():
+        if not _term._caches_enabled:
             return Context(((name, ty),) + self.entries)
         key = (id(self), name, id(ty))
         entry = _PUSH_MEMO.get(key)

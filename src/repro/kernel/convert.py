@@ -12,6 +12,7 @@ The algorithm is whnf-directed structural comparison with:
 
 from __future__ import annotations
 
+from . import term as _term
 from .env import ABSENT, Environment
 from .reduce import whnf
 from .stats import KERNEL_STATS
@@ -52,7 +53,7 @@ def _conv(env: Environment, t1: Term, t2: Term, cumulative: bool) -> bool:
         return True
     cache = env.reduction_cache
     key = None
-    if cache.enabled:
+    if _term._caches_enabled:
         key = (_CONV_TAG, t1, t2, cumulative)
         hit = cache.get(key, _CONV_COUNTER)
         if hit is not ABSENT:

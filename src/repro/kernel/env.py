@@ -18,7 +18,6 @@ from .inductive import (
     case_type,
     check_positivity,
 )
-from .stats import CACHES_DISABLED_BY_ENV, KERNEL_STATS, KernelStats
 from .term import (
     Elim,
     Ind,
@@ -44,16 +43,6 @@ ABSENT = object()
 
 _REDUCTION_CACHE_MAX = 1 << 20
 
-_reduction_cache_default: bool = not CACHES_DISABLED_BY_ENV
-
-
-def set_reduction_cache_default(enabled: bool) -> bool:
-    """Default ``enabled`` state for new environments' reduction caches."""
-    global _reduction_cache_default
-    previous = _reduction_cache_default
-    _reduction_cache_default = enabled
-    return previous
-
 
 class ReductionCache:
     """Environment-scoped memo for reduction and judgement results.
@@ -67,14 +56,15 @@ class ReductionCache:
     Entries stay valid under *additive* environment changes (``define``,
     ``assume``, ``declare_inductive``): a term can only mention globals
     that already existed when its entry was stored, because reducing a
-    term with an unknown constant raises instead of caching.  Mutating
-    changes (``redefine``, ``remove``) clear the store.
+    term with an unknown constant raises instead of caching.  The one
+    mutating change, ``remove``, clears the store.  The kernel's cache
+    switch (:func:`~repro.kernel.term.set_kernel_caches`) decides
+    whether the judgements read and fill it.
     """
 
-    __slots__ = ("enabled", "_store")
+    __slots__ = ("_store",)
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._store: Dict[tuple, object] = {}
 
     def get(self, key: tuple, counter) -> object:
@@ -117,7 +107,7 @@ class EnvCheckpoint:
     """An opaque rollback token from :meth:`Environment.checkpoint`.
 
     Captures how many globals were declared, the stamp of the newest
-    one, how many *destructive* mutations (``redefine``/``remove``) the
+    one, how many *destructive* mutations (``remove`` calls) the
     environment had seen, and a shallow snapshot of the reduction-cache
     store.  Valid for :meth:`Environment.rollback` only while every
     change since it was taken has been additive and no rollback has
@@ -147,7 +137,7 @@ class ConstantDecl:
 class Environment:
     """A global environment of constants and inductive families."""
 
-    def __init__(self, reduction_cache: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._constants: Dict[str, ConstantDecl] = {}
         self._inductives: Dict[str, InductiveDecl] = {}
         self._decl_order: List[str] = []
@@ -160,9 +150,7 @@ class Environment:
         self._refs_memo: Optional[
             Tuple[int, Dict[str, FrozenSet[str]]]
         ] = None
-        if reduction_cache is None:
-            reduction_cache = _reduction_cache_default
-        self.reduction_cache = ReductionCache(enabled=reduction_cache)
+        self.reduction_cache = ReductionCache()
 
     @property
     def revision(self) -> int:
@@ -173,17 +161,6 @@ class Environment:
         hashing the whole environment.
         """
         return self._revision
-
-    @property
-    def kernel_stats(self) -> KernelStats:
-        """The process-wide :class:`KernelStats` counters.
-
-        Interning and the de Bruijn memo tables are process-global (the
-        term arena is shared by every environment), so the stats object
-        is the global singleton; it also carries the hit/miss counters
-        for this environment's reduction cache.
-        """
-        return KERNEL_STATS
 
     # -- Lookup -------------------------------------------------------------
 
@@ -285,17 +262,17 @@ class Environment:
         ``declare_inductive`` append, so dropping the tail of the
         declaration order restores the exact prior environment, and the
         reduction cache is reset to its snapshot (entries cached since
-        the mark may mention the dropped globals).  ``redefine`` or
-        ``remove`` since the mark would make the tail-drop unsound, so
-        rollback refuses with :class:`EnvError` — callers should discard
-        the environment and rebuild instead.  So does a mark taken after
-        an earlier rollback's target: that rollback dropped declarations
-        the mark saw.  Rolling back to the same mark again is fine.
+        the mark may mention the dropped globals).  A ``remove`` since
+        the mark would make the tail-drop unsound, so rollback refuses
+        with :class:`EnvError` — callers should discard the environment
+        and rebuild instead.  So does a mark taken after an earlier
+        rollback's target: that rollback dropped declarations the mark
+        saw.  Rolling back to the same mark again is fine.
         """
         if mark.destructive != self._destructive:
             raise EnvError(
-                "cannot roll back: the environment saw redefine/remove "
-                "after the checkpoint"
+                "cannot roll back: the environment saw remove after "
+                "the checkpoint"
             )
         if len(self._decl_order) < mark.depth:
             raise EnvError(
@@ -319,9 +296,7 @@ class Environment:
 
     # -- Declaration --------------------------------------------------------
 
-    def declare_inductive(
-        self, decl: InductiveDecl, check: bool = True
-    ) -> InductiveDecl:
+    def declare_inductive(self, decl: InductiveDecl) -> InductiveDecl:
         """Declare an inductive family, checking well-formedness.
 
         Also defines the standard recursor constant ``<name>_rect`` whose
@@ -329,8 +304,7 @@ class Environment:
         """
         if decl.name in self._inductives or decl.name in self._constants:
             raise EnvError(f"duplicate global {decl.name!r}")
-        if check:
-            self._check_inductive(decl)
+        self._check_inductive(decl)
         self._inductives[decl.name] = decl
         self._append(decl.name)
         self._define_recursor(decl)
@@ -342,30 +316,25 @@ class Environment:
         body: Term,
         type: Optional[Term] = None,
         opaque: bool = False,
-        check: bool = True,
     ) -> ConstantDecl:
         """Define a constant; its type is inferred when not given."""
-        from .typecheck import check as check_type
-        from .typecheck import infer
+        from .typecheck import check, infer
 
         if name in self._constants or name in self._inductives:
             raise EnvError(f"duplicate global {name!r}")
         from .context import Context
 
-        if check:
-            inferred = infer(self, Context.empty(), body)
-            if type is not None:
-                check_type(self, Context.empty(), body, type)
-            else:
-                type = inferred
-        elif type is None:
-            raise EnvError(f"define({name!r}): need a type when check=False")
+        inferred = infer(self, Context.empty(), body)
+        if type is not None:
+            check(self, Context.empty(), body, type)
+        else:
+            type = inferred
         decl = ConstantDecl(name=name, type=type, body=body, opaque=opaque)
         self._constants[name] = decl
         self._append(name)
         return decl
 
-    def assume(self, name: str, type: Term, check: bool = True) -> ConstantDecl:
+    def assume(self, name: str, type: Term) -> ConstantDecl:
         """Declare an axiom-like constant with no body.
 
         The library's own developments never use this (the paper's tool is
@@ -376,23 +345,10 @@ class Environment:
 
         if name in self._constants or name in self._inductives:
             raise EnvError(f"duplicate global {name!r}")
-        if check:
-            infer_sort(self, Context.empty(), type)
+        infer_sort(self, Context.empty(), type)
         decl = ConstantDecl(name=name, type=type, body=None)
         self._constants[name] = decl
         self._append(name)
-        return decl
-
-    def redefine(self, name: str, body: Term, type: Term) -> ConstantDecl:
-        """Replace an existing constant (used by whole-module repair)."""
-        if name not in self._constants:
-            raise EnvError(f"cannot redefine unknown constant {name!r}")
-        decl = ConstantDecl(name=name, type=type, body=body)
-        self._constants[name] = decl
-        # The old body may be baked into cached reductions; drop them.
-        self.reduction_cache.clear()
-        self._destructive += 1
-        self._mutated()
         return decl
 
     def remove(self, name: str) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import term as _term
 from .stats import KERNEL_STATS
 from .term import (
     App,
@@ -37,7 +38,6 @@ from .term import (
     mk_lams,
     mk_pis,
     subst,
-    term_memo_enabled,
     unfold_app,
     unfold_pis,
 )
@@ -362,7 +362,7 @@ def case_type(
     the type checker asks for the same case types over and over while
     checking eliminations.
     """
-    if term_memo_enabled():
+    if _term._caches_enabled:
         # Keyed by identity, with the referents pinned in the value, so
         # a hit can never swap in binder names from an equal-but-
         # differently-named motive or parameter.

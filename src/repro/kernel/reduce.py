@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
+from . import term as _term
 from .env import ABSENT, Environment
 from .inductive import iota_reduce
 from .stats import KERNEL_STATS
@@ -57,7 +58,6 @@ from .term import (
     register_term_cache,
     subst,
     subst_many,
-    term_memo_enabled,
     unfold_app,
 )
 
@@ -160,7 +160,7 @@ def _whnf(
     env: Environment, term: Term, delta: bool, frozen: FrozenSet[str]
 ) -> Term:
     cache = env.reduction_cache
-    key = _whnf_key(term, delta, frozen) if cache.enabled else None
+    key = _whnf_key(term, delta, frozen) if _term._caches_enabled else None
     pin = term
     if key is not None:
         hit = cache.get(key, _WHNF_COUNTER)
@@ -259,7 +259,7 @@ def _nf(
     if isinstance(term, (Rel, Sort, Ind, Constr)):
         return term
     cache = env.reduction_cache
-    key = _nf_key(term, delta, frozen) if cache.enabled else None
+    key = _nf_key(term, delta, frozen) if _term._caches_enabled else None
     if key is not None:
         hit = cache.get(key, _NF_COUNTER)
         if hit is not ABSENT:
@@ -359,7 +359,7 @@ def _beta_reduce(term: Term) -> Term:
     # name-faithful: equality ignores binder display names.
     if isinstance(term, (Rel, Sort, Const, Ind, Constr)):
         return term
-    if term_memo_enabled():
+    if _term._caches_enabled:
         entry = _BETA_MEMO.get(id(term))
         if entry is not None:
             _BETA_COUNTER.hits += 1
@@ -406,97 +406,3 @@ def _beta_reduce_node(term: Term) -> Term:
             return term
         return Elim(term.ind, motive, tuple(cases), scrut)
     return term
-
-
-def beta_iota_reduce(env: Environment, term: Term) -> Term:
-    """Beta + iota normalization without delta unfolding.
-
-    This is the reduction the proof term transformation applies to its
-    output (step 4 in Figure 11): it simplifies applications of the
-    configuration terms without unfolding unrelated constants.
-    """
-    return nf(env, term, delta=False)
-
-
-def unfold_constant(env: Environment, term: Term, name: str) -> Term:
-    """Delta-unfold exactly the constant ``name`` everywhere in ``term``.
-
-    Explicit-stack (no recursion limit on deep terms) with per-node
-    memoization and no-change node reuse: subtrees not mentioning the
-    constant come back identical (``is``), so unfolding in an
-    already-unfolded term allocates nothing.  The body is closed, so it
-    substitutes in without lifting.
-    """
-    decl = env.constant(name)
-    body = decl.body
-    if body is None:
-        raise ReduceError(f"constant {name!r} has no body to unfold")
-
-    # memo: id(node) -> result; shared subtrees rebuild once.  Keys stay
-    # valid because every keyed node is alive in the input term.
-    memo: dict = {}
-    _VISIT, _BUILD = 0, 1
-    todo: List[Tuple[int, Term]] = [(_VISIT, term)]
-    results: List[Term] = []
-    while todo:
-        op, t = todo.pop()
-        cls = t.__class__
-        if op == _VISIT:
-            done = memo.get(id(t))
-            if done is not None:
-                results.append(done)
-                continue
-            if cls is Const:
-                r = body if t.name == name else t
-                memo[id(t)] = r
-                results.append(r)
-            elif cls is App:
-                todo.append((_BUILD, t))
-                todo.append((_VISIT, t.arg))
-                todo.append((_VISIT, t.fn))
-            elif cls is Lam:
-                todo.append((_BUILD, t))
-                todo.append((_VISIT, t.body))
-                todo.append((_VISIT, t.domain))
-            elif cls is Pi:
-                todo.append((_BUILD, t))
-                todo.append((_VISIT, t.codomain))
-                todo.append((_VISIT, t.domain))
-            elif cls is Elim:
-                todo.append((_BUILD, t))
-                todo.append((_VISIT, t.scrut))
-                for c in reversed(t.cases):
-                    todo.append((_VISIT, c))
-                todo.append((_VISIT, t.motive))
-            else:
-                memo[id(t)] = t
-                results.append(t)
-            continue
-        if cls is App:
-            arg = results.pop()
-            fn = results.pop()
-            r = t if (fn is t.fn and arg is t.arg) else App(fn, arg)
-        elif cls is Lam:
-            b = results.pop()
-            d = results.pop()
-            r = t if (d is t.domain and b is t.body) else Lam(t.name, d, b)
-        elif cls is Pi:
-            b = results.pop()
-            d = results.pop()
-            r = t if (d is t.domain and b is t.codomain) else Pi(t.name, d, b)
-        else:  # Elim
-            scrut = results.pop()
-            cases = [results.pop() for _ in t.cases]
-            cases.reverse()
-            motive = results.pop()
-            if (
-                motive is t.motive
-                and scrut is t.scrut
-                and all(a is b for a, b in zip(cases, t.cases))
-            ):
-                r = t
-            else:
-                r = Elim(t.ind, motive, tuple(cases), scrut)
-        memo[id(t)] = r
-        results.append(r)
-    return results[0]

@@ -9,13 +9,13 @@ reduction cache) reports hits and misses here so the caching ablation
 benchmarks can measure effectiveness the way the paper's ablation does.
 
 All counters are process-global because the term arena itself is
-process-global; :attr:`repro.kernel.env.Environment.kernel_stats`
-exposes the same singleton for convenience.
+process-global: every environment reports into :data:`KERNEL_STATS`.
 
 Setting the environment variable ``REPRO_DISABLE_KERNEL_CACHES=1``
 before import disables every cache layer at once (the ablation's "off"
-configuration); all layers are behaviour-transparent, so the system
-produces identical terms either way.
+configuration; :func:`repro.kernel.term.set_kernel_caches` flips the
+same switch at run time); all layers are behaviour-transparent, so the
+system produces identical terms either way.
 """
 
 from __future__ import annotations

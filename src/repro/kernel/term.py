@@ -41,11 +41,12 @@ Performance architecture (see DESIGN.md, "Performance architecture"):
   ``free_rels``, ``max_free_rel``) use an explicit stack, so terms
   thousands of binders deep do not hit Python's recursion limit.
 
-Every layer has an ``enabled`` switch (mirroring the caching ablation of
-Section 4.4): :func:`set_hash_consing`, :func:`set_term_memo`, and the
-``REPRO_DISABLE_KERNEL_CACHES`` environment variable which turns
-everything off at import time.  :data:`repro.kernel.stats.KERNEL_STATS`
-counts constructions, intern hits, and memo hits/misses per table.
+One switch, :func:`set_kernel_caches`, turns every kernel cache layer
+on or off at once: interning and the memo tables here, the memos of the
+other kernel modules and every environment's reduction cache.  The
+``REPRO_DISABLE_KERNEL_CACHES`` environment variable sets it off at
+import time.  :data:`repro.kernel.stats.KERNEL_STATS` counts
+constructions, intern hits, and memo hits/misses per table.
 """
 
 from __future__ import annotations
@@ -73,36 +74,28 @@ class TermError(Exception):
 _INTERN: Dict[tuple, "Term"] = {}
 _INTERN_MAX = 1 << 20
 
-_intern_enabled: bool = not CACHES_DISABLED_BY_ENV
-_memo_enabled: bool = not CACHES_DISABLED_BY_ENV
+#: The one kernel cache switch.  Other kernel modules read it on their
+#: hot paths as ``_term._caches_enabled``: one attribute load, no call.
+_caches_enabled: bool = not CACHES_DISABLED_BY_ENV
 
 
-def set_hash_consing(enabled: bool) -> bool:
-    """Enable/disable term interning; returns the previous setting.
+def set_kernel_caches(enabled: bool) -> bool:
+    """Switch every kernel cache layer on or off; returns the previous setting.
 
-    Disabling does not clear the arena: already-interned nodes stay
-    shared, new constructions simply allocate fresh nodes.
+    Covers hash consing, the term-keyed memo tables and every
+    environment's reduction cache, existing environments included.
+    Switching off clears nothing: interned nodes stay shared and cached
+    entries stay valid, unread until the caches are switched back on.
     """
-    global _intern_enabled
-    previous = _intern_enabled
-    _intern_enabled = enabled
+    global _caches_enabled
+    previous = _caches_enabled
+    _caches_enabled = enabled
     return previous
 
 
-def hash_consing_enabled() -> bool:
-    return _intern_enabled
-
-
-def set_term_memo(enabled: bool) -> bool:
-    """Enable/disable the lift/subst/free_rels memo tables."""
-    global _memo_enabled
-    previous = _memo_enabled
-    _memo_enabled = enabled
-    return previous
-
-
-def term_memo_enabled() -> bool:
-    return _memo_enabled
+def kernel_caches_enabled() -> bool:
+    """True when the kernel cache layers are on."""
+    return _caches_enabled
 
 
 # Memo tables living in other kernel modules (case_type, beta_reduce)
@@ -124,10 +117,6 @@ def clear_term_caches() -> None:
     _FREE_MEMO.clear()
     for cache in _EXTRA_CACHES:
         cache.clear()
-
-
-def intern_table_size() -> int:
-    return len(_INTERN)
 
 
 def _interned(key: tuple, cls) -> "Term":
@@ -189,7 +178,7 @@ class Rel(Term):
     index: int
 
     def __new__(cls, index=None):
-        if not _intern_enabled or index is None:
+        if not _caches_enabled or index is None:
             return object.__new__(cls)
         try:
             return _interned((cls, index), cls)
@@ -212,7 +201,7 @@ class Sort(Term):
     level: int
 
     def __new__(cls, level=None):
-        if not _intern_enabled or level is None:
+        if not _caches_enabled or level is None:
             return object.__new__(cls)
         try:
             return _interned((cls, level), cls)
@@ -262,7 +251,7 @@ class Pi(Term):
     codomain: Term = field(compare=True)
 
     def __new__(cls, name=None, domain=None, codomain=None):
-        if not _intern_enabled or codomain is None:
+        if not _caches_enabled or codomain is None:
             return object.__new__(cls)
         try:
             return _interned((cls, name, id(domain), id(codomain)), cls)
@@ -286,7 +275,7 @@ class Lam(Term):
     body: Term = field(compare=True)
 
     def __new__(cls, name=None, domain=None, body=None):
-        if not _intern_enabled or body is None:
+        if not _caches_enabled or body is None:
             return object.__new__(cls)
         try:
             return _interned((cls, name, id(domain), id(body)), cls)
@@ -306,7 +295,7 @@ class App(Term):
     arg: Term
 
     def __new__(cls, fn=None, arg=None):
-        if not _intern_enabled or arg is None:
+        if not _caches_enabled or arg is None:
             return object.__new__(cls)
         try:
             return _interned((cls, id(fn), id(arg)), cls)
@@ -326,7 +315,7 @@ class Const(Term):
     name: str
 
     def __new__(cls, name=None):
-        if not _intern_enabled or name is None:
+        if not _caches_enabled or name is None:
             return object.__new__(cls)
         try:
             return _interned((cls, name), cls)
@@ -345,7 +334,7 @@ class Ind(Term):
     name: str
 
     def __new__(cls, name=None):
-        if not _intern_enabled or name is None:
+        if not _caches_enabled or name is None:
             return object.__new__(cls)
         try:
             return _interned((cls, name), cls)
@@ -365,7 +354,7 @@ class Constr(Term):
     index: int
 
     def __new__(cls, ind=None, index=None):
-        if not _intern_enabled or index is None:
+        if not _caches_enabled or index is None:
             return object.__new__(cls)
         try:
             return _interned((cls, ind, index), cls)
@@ -390,7 +379,7 @@ class Elim(Term):
     scrut: Term
 
     def __new__(cls, ind=None, motive=None, cases=None, scrut=None):
-        if not _intern_enabled or scrut is None:
+        if not _caches_enabled or scrut is None:
             return object.__new__(cls)
         try:
             return _interned(
@@ -733,7 +722,7 @@ def lift(term: Term, amount: int, cutoff: int = 0) -> Term:
             raise TermError("lift produced a negative de Bruijn index")
         return Rel(new_index)
 
-    if _memo_enabled:
+    if _caches_enabled:
         return _transform_rels(
             term, cutoff, on_rel, _LIFT_MEMO, amount, _LIFT_COUNTER
         )
@@ -754,7 +743,7 @@ def subst(term: Term, replacement: Term, index: int = 0) -> Term:
             return lift(replacement, cut)
         return Rel(i - 1)
 
-    if _memo_enabled:
+    if _caches_enabled:
         return _transform_rels(
             term, index, on_rel, _SUBST_MEMO, replacement, _SUBST_COUNTER
         )
@@ -802,7 +791,7 @@ def free_rels(term: Term, cutoff: int = 0) -> frozenset:
     # skip hashing freshly built trees — a real cost on the transformer
     # hot path, where most probed terms were just constructed.
     key = None
-    if _memo_enabled:
+    if _caches_enabled:
         key = (id(term), cutoff)
         cached = _FREE_MEMO.get(key)
         if cached is not None:
@@ -957,7 +946,7 @@ def mentions_global(term: Term, name: str) -> bool:
     every old global and again per dependency scan, so one walk serves
     them all.
     """
-    if _memo_enabled:
+    if _caches_enabled:
         return name in collect_globals(term)
     stack = [term]
     while stack:
@@ -985,7 +974,7 @@ def collect_globals(term: Term) -> frozenset:
     re-unioned whenever a node adds no name of its own, so deep terms
     over few globals share one frozenset.
     """
-    if not _memo_enabled:
+    if not _caches_enabled:
         out: set = set()
         walk = [term]
         while walk:

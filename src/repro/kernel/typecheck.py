@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from . import term as _term
 from .context import Context
 from .convert import conv, sub
 from .env import ABSENT, Environment
@@ -68,7 +69,7 @@ def infer(env: Environment, ctx: Context, term: Term) -> Term:
     # whose binder display names came from a different, equal term.
     cache = env.reduction_cache
     key = None
-    if cache.enabled and not isinstance(term, (Rel, Sort, Const)):
+    if _term._caches_enabled and not isinstance(term, (Rel, Sort, Const)):
         key = (_INFER_TAG, id(term), ctx.type_ids())
         hit = cache.get(key, _INFER_COUNTER)
         if hit is not ABSENT:
@@ -134,7 +135,7 @@ def _infer_spine(env: Environment, ctx: Context, term: App) -> Term:
     the type of the whole spine.
     """
     cache = env.reduction_cache
-    caching = cache.enabled
+    caching = _term._caches_enabled
     ids = ctx.type_ids() if caching else None
     spine = [term]
     t = term.fn
@@ -217,7 +218,7 @@ def check(env: Environment, ctx: Context, term: Term, expected: Term) -> None:
     """
     cache = env.reduction_cache
     key = None
-    if cache.enabled:
+    if _term._caches_enabled:
         key = (_CHECK_TAG, id(term), id(expected), ctx.type_ids())
         hit = cache.get(key, _CHECK_COUNTER)
         if hit is not ABSENT:

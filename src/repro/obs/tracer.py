@@ -15,7 +15,8 @@ A span records wall time (``perf_counter_ns``), the delta of every
 :data:`~repro.kernel.stats.KERNEL_STATS` counter over its extent
 (interning, de Bruijn memo tables, the reduction cache), named gauges
 (term size/depth, attached by the instrumentation sites), and its
-children — spans opened while it was the innermost open span.
+children — spans its thread opened while it was that thread's
+innermost open span.
 
 Tracing is **off by default** and costs one module-global check plus a
 shared no-op context manager per call site when disabled, so the
@@ -33,6 +34,7 @@ regression gate.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -207,16 +209,27 @@ class Tracer:
 
     ``roots`` holds completed top-level spans; ``spans`` holds every
     completed span in *start* order, which is what the Chrome exporter
-    wants.  One process-wide instance (:func:`get_tracer`) backs the
-    :func:`span` entry point; independent instances can be created for
-    tests.
+    wants.  Both are shared by every thread, but each thread nests its
+    spans on its own stack of open spans, so concurrent requests (the
+    server's handler threads) build separate trees instead of grafting
+    one request's spans into another's.  One process-wide instance
+    (:func:`get_tracer`) backs the :func:`span` entry point;
+    independent instances can be created for tests.
     """
 
     def __init__(self) -> None:
         self.roots: List[Span] = []
         self.spans: List[Span] = []
-        self._stack: List[Span] = []
+        self._local = threading.local()
         self._origin_ns = time.perf_counter_ns()
+
+    @property
+    def _stack(self) -> List[Span]:
+        """The calling thread's open spans, innermost last."""
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        return stack
 
     # -- Span lifecycle ----------------------------------------------------
 
@@ -227,16 +240,18 @@ class Tracer:
         return Span(self, name, category, args)
 
     def _push(self, span: Span) -> None:
-        if self._stack:
-            span.parent = self._stack[-1]
+        stack = self._stack
+        if stack:
+            span.parent = stack[-1]
             span.parent.children.append(span)
-        self._stack.append(span)
+        stack.append(span)
 
     def _pop(self, span: Span) -> None:
         # Tolerate exceptions unwinding several spans at once: pop up to
         # and including the span being closed.
-        while self._stack:
-            top = self._stack.pop()
+        stack = self._stack
+        while stack:
+            top = stack.pop()
             if top is span:
                 break
         self.spans.append(span)
@@ -245,14 +260,15 @@ class Tracer:
 
     @property
     def current(self) -> Optional[Span]:
-        """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
+        """The calling thread's innermost open span, if any."""
+        stack = self._stack
+        return stack[-1] if stack else None
 
     def reset(self) -> None:
         """Drop every recorded span and restart the clock origin."""
         self.roots = []
         self.spans = []
-        self._stack = []
+        self._local = threading.local()
         self._origin_ns = time.perf_counter_ns()
 
     # -- Aggregation -------------------------------------------------------

@@ -30,7 +30,6 @@ the injection raises :class:`~repro.service.faults.WorkerCrash` instead.
 from __future__ import annotations
 
 import importlib
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -45,11 +44,6 @@ from ..kernel.term import TermError
 from . import faults
 from .job import LIVE_SETUP, SCHEMA_VERSION, JobError
 from .proto import read_frames, write_frame
-
-#: Test hook: when set, the worker prints this string to stdout (once
-#: before and once after its record) to simulate a noisy worker whose
-#: diagnostics interleave with the protocol stream.
-NOISE_ENV_VAR = "REPRO_WORKER_NOISE"
 
 
 def resolve_ref(ref: str) -> Any:
@@ -331,14 +325,6 @@ def attempt_job(
         }
 
 
-def _emit_noise() -> None:
-    """Print the test-hook noise line, if configured (and flush it)."""
-    noise = os.environ.get(NOISE_ENV_VAR)
-    if noise:
-        sys.stdout.write(noise + "\n")
-        sys.stdout.flush()
-
-
 def serve() -> int:
     """Persistent worker body: framed requests in, framed replies out.
 
@@ -390,9 +376,7 @@ def serve() -> int:
             continue
         record["schema_version"] = SCHEMA_VERSION
         served += 1
-        _emit_noise()
         write_frame(out, {"op": "result", "record": record})
-        _emit_noise()
     return 0
 
 

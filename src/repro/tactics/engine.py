@@ -125,11 +125,6 @@ class Proof:
         self._open = node.children + self._open[1:]
         return self
 
-    def run_all(self, *tactics: Tactic) -> "Proof":
-        for tactic in tactics:
-            self.run(tactic)
-        return self
-
     def focus_next(self) -> "Proof":
         """Rotate the focused goal to the back."""
         if len(self._open) > 1:

@@ -1,4 +1,4 @@
-"""Shared fixtures: environments and case-study scenarios.
+"""Shared fixtures: kernel cache switches, environments, scenarios.
 
 Scenario fixtures are session scoped — each case study runs once and its
 artifacts are inspected by many tests.
@@ -8,7 +8,28 @@ from __future__ import annotations
 
 import pytest
 
+from repro.kernel.term import set_kernel_caches
 from repro.stdlib import make_env
+
+
+@pytest.fixture
+def kernel_caches_on():
+    """Every kernel cache layer on, for tests of cache-active behaviour.
+
+    Needed so the suite also passes under REPRO_DISABLE_KERNEL_CACHES=1,
+    where the caches start off.
+    """
+    previous = set_kernel_caches(True)
+    yield
+    set_kernel_caches(previous)
+
+
+@pytest.fixture
+def no_kernel_caches():
+    """Every kernel cache layer off, restored afterwards."""
+    previous = set_kernel_caches(False)
+    yield
+    set_kernel_caches(previous)
 
 
 @pytest.fixture(scope="session")

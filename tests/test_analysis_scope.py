@@ -87,8 +87,12 @@ class TestTruePositives:
         assert "RA007" in [d.code for d in diags]
 
     def test_error_in_environment_sweep(self):
+        # A dangling reference the way a real session makes one: a
+        # checked declaration over a global that is later removed.
         bad = Environment()
-        bad.assume("dangling", App(Const("loose"), Sort(0)), check=False)
+        bad.assume("loose", Sort(1))
+        bad.assume("dangling", Const("loose"))
+        bad.remove("loose")
         diags = check_environment(bad)
         assert "RA003" in [d.code for d in diags]
         assert diags[0].subject == "dangling"

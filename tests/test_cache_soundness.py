@@ -2,24 +2,26 @@
 
 A warm, caches-on environment (hash consing, the de Bruijn memo tables
 and the reduction cache with its ``infer``/``check``/``conv`` verdicts)
-goes through seeded random runs of ``define``, ``redefine``,
-``remove``, ``checkpoint``, ``rollback`` and ``reduction_cache.clear()``
-— the history a warm pool worker or a server session puts an
-environment through.  After every step, random terms (from
-:mod:`tests.termgen` plus typed terms over the user constants) must get
-the same ``infer`` result, ``nf`` and ``conv`` verdicts, or the same
-error class, as in a cache-free reference: an environment built with
-every cache layer off, into which the model's current user declarations
-are replayed from scratch.
+goes through seeded random runs of ``define``, ``remove``,
+``checkpoint``, ``rollback`` and ``reduction_cache.clear()`` — the
+history a warm pool worker or a server session puts an environment
+through.  After every step, random terms (from :mod:`tests.termgen`
+plus typed terms over the user constants) must get the same ``infer``
+result, ``nf`` and ``conv`` verdicts, or the same error class, as in a
+cache-free reference: an environment used with every cache layer off,
+into which the model's current user declarations are replayed from
+scratch.  The replay goes through the checked ``define``, so the
+reference also re-checks every declaration the warm side accepted.
 
 Rollback follows its contract: a rollback succeeds exactly when no
-``redefine``/``remove`` happened since the mark, and restores the
-declarations the mark saw; it also invalidates every newer mark, which
-the model then forgets.  Generated bodies only mention user constants
-declared earlier, and ``remove`` only drops constants nothing else
-mentions, so no delta-unfolding can cycle.
+``remove`` happened since the mark, and restores the declarations the
+mark saw; it also invalidates every newer mark, which the model then
+forgets.  Generated bodies only mention user constants declared
+earlier, and ``remove`` only drops constants nothing else mentions, so
+no delta-unfolding can cycle.
 
-The warm side forces every cache on, so this suite means the same under
+Every warm step runs with the caches switched on and every reference
+step with them off, so this suite means the same under
 ``REPRO_DISABLE_KERNEL_CACHES=1``.  A failure names its seed and step.
 """
 
@@ -30,7 +32,7 @@ import pytest
 
 from repro.kernel.context import Context
 from repro.kernel.convert import conv
-from repro.kernel.env import EnvError, set_reduction_cache_default
+from repro.kernel.env import EnvError
 from repro.kernel.pretty import pretty
 from repro.kernel.reduce import nf
 from repro.kernel.term import (
@@ -44,8 +46,7 @@ from repro.kernel.term import (
     Rel,
     Sort,
     TermError,
-    set_hash_consing,
-    set_term_memo,
+    set_kernel_caches,
 )
 from repro.kernel.typecheck import infer
 from repro.stdlib import make_env
@@ -58,7 +59,6 @@ NAMES = tuple(f"u{i}" for i in range(8))
 TYPES = {"nat": "nat", "fun": "nat -> nat", "bool": "bool", "type": "Set"}
 OPS = (
     ("define", 4),
-    ("redefine", 1),
     ("remove", 1),
     ("checkpoint", 3),
     ("rollback", 3),
@@ -69,17 +69,11 @@ OPS = (
 @contextmanager
 def kernel_caches(enabled):
     """Switch every kernel cache layer on or off, restoring on exit."""
-    previous = (
-        set_hash_consing(enabled),
-        set_term_memo(enabled),
-        set_reduction_cache_default(enabled),
-    )
+    previous = set_kernel_caches(enabled)
     try:
         yield
     finally:
-        set_hash_consing(previous[0])
-        set_term_memo(previous[1])
-        set_reduction_cache_default(previous[2])
+        set_kernel_caches(previous)
 
 
 def rebuild(term):
@@ -233,12 +227,10 @@ class Model:
     def names(self):
         return tuple(d[0] for d in self.decls)
 
-    def visible(self, before=None):
-        """kind -> names, optionally only those declared before ``before``."""
+    def visible(self):
+        """kind -> names of the declared user constants."""
         out = {kind: [] for kind in TYPES}
         for name, kind, _body, _ty, _refs in self.decls:
-            if name == before:
-                break
             out[kind].append(name)
         return out
 
@@ -253,13 +245,13 @@ class Reference:
         with kernel_caches(False):
             self.env = make_env(lists=False, vectors=False)
             self.base = self.env.checkpoint()
-        assert not self.env.reduction_cache.enabled
+        assert self.env.reduction_cache.size == 0
 
     def sync(self, decls):
         with kernel_caches(False):
             self.env.rollback(self.base)
             for name, _kind, body, ty, _refs in decls:
-                self.env.define(name, rebuild(body), rebuild(ty), check=False)
+                self.env.define(name, rebuild(body), rebuild(ty))
 
     def define(self, name, body, ty):
         with kernel_caches(False):
@@ -361,17 +353,6 @@ def run_step(rng, warm, ref, model, where):
                     (name, kind, decl.body, decl.type, frozenset(source.used))
                 )
             return f"define {name}"
-    if op == "redefine":
-        if not live:
-            return "redefine (none)"
-        index = rng.randrange(len(live))
-        name, kind, _body, ty, _refs = model.decls[index]
-        source = Source(rng, model.visible(before=name))
-        body = parse(warm, source.body(kind))
-        warm.redefine(name, body, ty)
-        model.decls[index] = (name, kind, body, ty, frozenset(source.used))
-        model.destructive += 1
-        return f"redefine {name}"
     if op == "remove":
         unused = [n for n in live if n not in model.referenced()]
         if not unused:
@@ -397,7 +378,7 @@ def run_step(rng, warm, ref, model, where):
             warm.rollback(mark)
         except EnvError:
             assert refuse, f"{where} rollback to mark {index} refused"
-            # A redefine/remove since the mark spoils it for good.
+            # A remove since the mark spoils it for good.
             del model.marks[index]
             return f"rollback {index} (refused)"
         assert not refuse, f"{where} rollback to mark {index} accepted"
@@ -418,7 +399,7 @@ def test_caches_agree_with_cache_free_reference(seed, reference):
     rng = random.Random(seed)
     with kernel_caches(True):
         warm = make_env(lists=False, vectors=False)
-    assert warm.reduction_cache.enabled
+    assert warm.reduction_cache.size > 0
     base = warm.declaration_order()
     model = Model()
     for step in range(STEPS):

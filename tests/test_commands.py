@@ -104,11 +104,11 @@ class TestAnalyze:
         assert result.summary.startswith("analyzed rev_app_distr: 0 error(s)")
 
     def test_analyze_reports_findings(self, session):
-        from repro.kernel import App, Const, Sort
+        from repro.kernel import Const, Sort
 
-        session.env.assume(
-            "dangling", App(Const("loose"), Sort(0)), check=False
-        )
+        session.env.assume("loose", Sort(1))
+        session.env.assume("dangling", Const("loose"))
+        session.env.remove("loose")
         result = session.execute("Analyze dangling")
         assert "1 error(s)" in result.summary
         assert "RA003" in result.text

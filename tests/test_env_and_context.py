@@ -6,7 +6,6 @@ from repro.kernel import (
     Context,
     EnvError,
     Environment,
-    Ind,
     PROP,
     Rel,
     SET,
@@ -64,16 +63,6 @@ class TestEnvironment:
                 type=parse(env, "bool"),
             )
 
-    def test_redefine_replaces_body(self):
-        env = Environment()
-        declare_prelude(env)
-        declare_nat(env)
-        env.define("two", parse(env, "2"))
-        env.redefine("two", parse(env, "3"), type=Ind("nat"))
-        from repro.kernel import nf
-
-        assert nf(env, parse(env, "two")) == parse(env, "3")
-
     def test_assume_declares_axiom(self):
         env = Environment()
         declare_prelude(env)
@@ -112,16 +101,6 @@ class TestEnvironment:
         # The environment is reusable: the same names define cleanly.
         env.define("two", parse(env, "2"))
         assert env.has_constant("two")
-
-    def test_rollback_refused_after_destructive_mutation(self):
-        env = Environment()
-        declare_prelude(env)
-        declare_nat(env)
-        env.define("two", parse(env, "2"))
-        mark = env.checkpoint()
-        env.redefine("two", parse(env, "3"), type=Ind("nat"))
-        with pytest.raises(EnvError):
-            env.rollback(mark)
 
     def test_rollback_refused_after_remove(self):
         env = Environment()

@@ -8,27 +8,10 @@ every build and pin that object for good.  Memos over such objects
 live on the objects instead (``InductiveDecl.case_types``).
 """
 
-import pytest
-
 from repro.commands import CommandSession
 from repro.kernel import term
-from repro.kernel.env import set_reduction_cache_default
-from repro.kernel.term import set_hash_consing, set_term_memo
 from repro.server.sessions import DEFAULT_SETUP
 from repro.service.worker import build_environment
-
-
-@pytest.fixture
-def kernel_caches_on():
-    previous = (
-        set_hash_consing(True),
-        set_term_memo(True),
-        set_reduction_cache_default(True),
-    )
-    yield
-    set_hash_consing(previous[0])
-    set_term_memo(previous[1])
-    set_reduction_cache_default(previous[2])
 
 
 def _session_round():

@@ -3,11 +3,10 @@
 Covers the hash-consing arena, the cached free-variable bounds, the
 memoized de Bruijn operations, the environment-scoped reduction cache,
 and — most importantly — that every layer is behaviour-transparent:
-with all switches off the kernel produces syntactically identical
-results.
+with the kernel cache switch off the kernel produces syntactically
+identical results.
 """
 
-import pytest
 from hypothesis import given, settings
 
 from repro.kernel.env import Environment
@@ -24,44 +23,15 @@ from repro.kernel.term import (
     Sort,
     TermError,
     free_rels,
-    hash_consing_enabled,
+    kernel_caches_enabled,
     lift,
     max_free_rel,
-    set_hash_consing,
-    set_term_memo,
+    set_kernel_caches,
     subst,
     subst_many,
 )
 
 from .test_kernel_term import terms
-
-
-@pytest.fixture
-def no_kernel_caches():
-    """Temporarily disable interning and the de Bruijn memo tables."""
-    prev_intern = set_hash_consing(False)
-    prev_memo = set_term_memo(False)
-    yield
-    set_hash_consing(prev_intern)
-    set_term_memo(prev_memo)
-
-
-@pytest.fixture
-def kernel_caches_on():
-    """Force every layer on — for tests asserting cache-active behaviour.
-
-    Needed so the suite also passes under REPRO_DISABLE_KERNEL_CACHES=1,
-    where the layers default to off.
-    """
-    from repro.kernel.env import set_reduction_cache_default
-
-    prev_intern = set_hash_consing(True)
-    prev_memo = set_term_memo(True)
-    prev_cache = set_reduction_cache_default(True)
-    yield
-    set_hash_consing(prev_intern)
-    set_term_memo(prev_memo)
-    set_reduction_cache_default(prev_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -109,18 +79,18 @@ class TestInterning:
         b = App(Const("a"), Const("b"))
         assert a == b
         assert hash(a) == hash(b)
-        assert not hash_consing_enabled()
+        assert not kernel_caches_enabled()
 
     @given(terms())
     @settings(max_examples=60)
     def test_interned_and_plain_terms_equal(self, term):
         # The same de Bruijn ops yield equal results with interning off.
         enabled = subst(lift(term, 1), Const("c"), 0)
-        prev = set_hash_consing(False)
+        prev = set_kernel_caches(False)
         try:
             disabled = subst(lift(term, 1), Const("c"), 0)
         finally:
-            set_hash_consing(prev)
+            set_kernel_caches(prev)
         assert enabled == disabled == term
 
 
@@ -163,33 +133,33 @@ class TestMemoTransparency:
     @settings(max_examples=80)
     def test_lift_same_with_and_without_memo(self, term):
         with_memo = lift(term, 2, 1)
-        prev = set_term_memo(False)
+        prev = set_kernel_caches(False)
         try:
             without = lift(term, 2, 1)
         finally:
-            set_term_memo(prev)
+            set_kernel_caches(prev)
         assert with_memo == without
 
     @given(terms(), terms(max_free=1))
     @settings(max_examples=80)
     def test_subst_same_with_and_without_memo(self, term, value):
         with_memo = subst(term, value, 1)
-        prev = set_term_memo(False)
+        prev = set_kernel_caches(False)
         try:
             without = subst(term, value, 1)
         finally:
-            set_term_memo(prev)
+            set_kernel_caches(prev)
         assert with_memo == without
 
     @given(terms())
     @settings(max_examples=80)
     def test_free_rels_same_with_and_without_memo(self, term):
         with_memo = free_rels(term, 1)
-        prev = set_term_memo(False)
+        prev = set_kernel_caches(False)
         try:
             without = free_rels(term, 1)
         finally:
-            set_term_memo(prev)
+            set_kernel_caches(prev)
         assert with_memo == without
 
     def test_lift_short_circuits_closed_subtrees(self):
@@ -292,46 +262,41 @@ class TestReductionCache:
         from repro.syntax.parser import parse
 
         env_on = _nat_env()
-        env_off = _nat_env()
-        env_off.reduction_cache.enabled = False
-        env_off.reduction_cache.clear()
         app = parse(env_on, "add 2 3")
-        assert nf(env_on, app) == nf(env_off, app)
+        prev = set_kernel_caches(False)
+        try:
+            env_off = _nat_env()
+            off = nf(env_off, app)
+        finally:
+            set_kernel_caches(prev)
+        assert nf(env_on, app) == off
         assert env_off.reduction_cache.size == 0
-
-    def test_redefine_invalidates(self):
-        env = Environment()
-        env.define("c0", SET, check=False, type=Sort(1))
-        probe = Const("c0")
-        assert nf(env, probe) == SET
-        env.redefine("c0", Sort(1), Sort(2))
-        # A stale cache would still answer SET.
-        assert nf(env, probe) == Sort(1)
 
     def test_remove_invalidates(self):
         env = Environment()
-        env.define("c1", SET, check=False, type=Sort(1))
+        env.define("c1", SET, type=Sort(1))
         assert nf(env, Const("c1")) == SET
         env.remove("c1")
-        env.define("c1", Sort(3), check=False, type=Sort(4))
+        env.define("c1", Sort(3), type=Sort(4))
         assert nf(env, Const("c1")) == Sort(3)
 
     def test_additive_define_keeps_cache(self, kernel_caches_on):
         from repro.syntax.parser import parse
 
         env = _nat_env()
-        nf(env, parse(env, "add 2 3"))
-        size_before = env.reduction_cache.size
-        assert size_before > 0
-        env.define("fresh_global", SET, check=False, type=Sort(1))
-        assert env.reduction_cache.size == size_before
+        probe = parse(env, "add 2 3")
+        nf(env, probe)
+        assert env.reduction_cache.size > 0
+        env.define("fresh_global", SET, type=Sort(1))
+        hits_before = KERNEL_STATS.counter("nf").hits
+        nf(env, probe)
+        assert KERNEL_STATS.counter("nf").hits > hits_before
 
     def test_kernel_stats_exposed_via_environment(self):
-        env = Environment()
-        assert env.kernel_stats is KERNEL_STATS
-        snap = env.kernel_stats.snapshot()
+        """Every environment reports into the one KERNEL_STATS."""
+        snap = KERNEL_STATS.snapshot()
         assert "constructions" in snap and "tables" in snap
-        assert env.kernel_stats.report()
+        assert KERNEL_STATS.report()
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +322,11 @@ class TestEndToEndTransparency:
 
         with_layers = run()
 
-        prev_intern = set_hash_consing(False)
-        prev_memo = set_term_memo(False)
-        from repro.kernel.env import set_reduction_cache_default
-
-        prev_cache = set_reduction_cache_default(False)
+        prev = set_kernel_caches(False)
         try:
             without_layers = run()
         finally:
-            set_hash_consing(prev_intern)
-            set_term_memo(prev_memo)
-            set_reduction_cache_default(prev_cache)
+            set_kernel_caches(prev)
 
         assert with_layers[0] == without_layers[0]
         assert with_layers[1] == without_layers[1]

@@ -1,12 +1,9 @@
 """Reduction: beta, iota, delta, frozen constants, normal forms."""
 
-import pytest
-
 from repro.kernel import (
     App,
     Const,
     Elim,
-    Environment,
     Ind,
     Lam,
     Rel,
@@ -15,7 +12,6 @@ from repro.kernel import (
     nf,
     whnf,
 )
-from repro.kernel.reduce import unfold_constant
 from repro.syntax.parser import parse
 from repro.stdlib.natlib import nat_of_int
 
@@ -111,15 +107,3 @@ class TestBetaReduce:
         term = parse(env_basic, "pred 1")
         assert beta_reduce(term) == term
 
-
-class TestUnfoldConstant:
-    def test_unfold_single_constant(self, env_basic):
-        term = parse(env_basic, "pred")
-        out = unfold_constant(env_basic, term, "pred")
-        assert out == env_basic.constant("pred").body
-
-    def test_unfold_missing_body_raises(self, env_basic):
-        env = Environment()
-        env.assume("ax", SET)
-        with pytest.raises(Exception):
-            unfold_constant(env, Const("ax"), "ax")

@@ -4,6 +4,7 @@ The hard guarantees under test:
 
 * nested spans form the right forest, with per-span wall time and
   kernel-counter deltas attributed to the span that did the work;
+* spans opened on concurrent threads form one tree per thread;
 * each ``CommandSession`` command gets its own span whose deltas cover
   only that command (deltas reset between commands);
 * with tracing disabled, no spans are recorded, ``span()`` allocates
@@ -14,6 +15,8 @@ The hard guarantees under test:
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -106,6 +109,39 @@ def test_span_survives_exceptions(traced):
                 raise ValueError("boom")
     assert [s.name for s in traced.roots] == ["outer"]
     assert traced.current is None  # the stack fully unwound
+
+
+def test_concurrent_threads_build_separate_trees(traced):
+    """Threads with overlapping spans get one tree each, not one tree
+    grafting every other request into the first."""
+    tags = [f"t{i}" for i in range(8)]  # more threads than cores
+    barrier = threading.Barrier(len(tags), timeout=10)
+
+    def request(tag):
+        with span("request", tag=tag):
+            barrier.wait()
+            with span("inner", tag=tag):
+                barrier.wait()
+
+    threads = [threading.Thread(target=request, args=(t,)) for t in tags]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(root.args["tag"] for root in traced.roots) == tags
+    for root in traced.roots:
+        assert root.name == "request"
+        assert [(c.name, c.args["tag"]) for c in root.children] == [
+            ("inner", root.args["tag"])
+        ]
+        assert root.children[0].children == []
+    assert traced.current is None
 
 
 def test_span_args_and_gauges(traced):

@@ -156,17 +156,21 @@ class TestFraming:
 
 class TestNoisyWorker:
     def test_noisy_worker_record_still_parsed(self, monkeypatch):
-        """A worker printing ``{``-prefixed JSON diagnostics on both
-        sides of its result frames must not confuse the pool: the noise
-        after one frame is read ahead of the next job's reply."""
+        """A worker printing ``{``-prefixed JSON diagnostics between its
+        result frames must not confuse the pool: the noise after one
+        frame is read ahead of the next job's reply."""
+        # The job's configuration builder (tests/noisy_config.py) prints
+        # the noise; the worker imports it from the repository root.
+        root = str(Path(__file__).resolve().parent.parent)
+        existing = os.environ.get("PYTHONPATH")
         monkeypatch.setenv(
-            "REPRO_WORKER_NOISE", '{"status": "failed", "error": "noise"}'
+            "PYTHONPATH", os.pathsep.join([root] + ([existing] if existing else []))
+        )
+        job = _quickstart_job(
+            config={"kind": "dotted", "ref": "tests.noisy_config:config"}
         )
         with WorkerPool(1) as pool:
-            records = [
-                pool.run_job(_quickstart_job().payload(), 0, 120)
-                for _ in range(2)
-            ]
+            records = [pool.run_job(job.payload(), 0, 120) for _ in range(2)]
         for record in records:
             assert record["status"] == STATUS_OK
             assert record["new_name"] == "New.rev_app_distr"

@@ -17,7 +17,7 @@ from repro.core import Transformer
 from repro.core.search.refine_unit import refine_unit_configuration
 from repro.kernel import App, Constr, Ind, Lam, Rel, mentions_global
 from repro.kernel.stats import KERNEL_STATS
-from repro.kernel.term import hash_consing_enabled
+from repro.kernel.term import kernel_caches_enabled
 from repro.obs import get_tracer, reset_tracer, set_tracing
 from repro.stdlib import make_env
 from tests.fixtures import make_engine_golden as golden
@@ -56,7 +56,7 @@ class TestDifferentialFuzz:
 
 
 @pytest.mark.skipif(
-    not hash_consing_enabled(),
+    not kernel_caches_enabled(),
     reason="REPRO_DISABLE_KERNEL_CACHES=1 routes rule application through "
     "the unmemoized recursive beta_reduce, whose documented ReduceError "
     "depth limit is orthogonal to the transformer pass",
