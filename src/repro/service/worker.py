@@ -16,9 +16,9 @@ script (live batches repair inside their session instead; see
 * ``python -m repro.service.worker`` — the process body the worker pool
   (:mod:`repro.service.pool`) launches: it serves framed requests (see
   :mod:`repro.service.proto`) off stdin until a ``shutdown`` request or
-  EOF, keeping booted environments resident between jobs.  A pool that
-  recycles each worker after one job (``--no-pool``) gets one fresh
-  process per attempt from the same body;
+  EOF, keeping booted environments and their configurations resident
+  between jobs.  A pool that recycles each worker after one job
+  (``--no-pool``) gets one fresh process per attempt from the same body;
 * the in-process executor (``--jobs 1`` and tests), which passes a
   fresh resident table per attempt, so every attempt boots from scratch.
 
@@ -30,6 +30,7 @@ the injection raises :class:`~repro.service.faults.WorkerCrash` instead.
 from __future__ import annotations
 
 import importlib
+import json
 import sys
 import time
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..core.config import ConfigError, Configuration
 from ..core.repair import RepairError, RepairSession
-from ..kernel.env import EnvError, Environment
+from ..kernel.env import EnvCheckpoint, EnvError, Environment
 from ..kernel.pretty import pretty
 from ..kernel.stats import KERNEL_STATS
 from ..kernel.term import TermError
@@ -215,6 +216,21 @@ def build_record(
 
 
 @dataclass
+class ResidentConfig:
+    """The configuration a resident environment keeps between jobs."""
+
+    #: Canonical JSON of the job's ``config`` spec (the discipline of
+    #: :attr:`RepairJob.key`): jobs with an equal key share this build.
+    key: str
+    config: Configuration
+    #: The built ``const_map``; every job starts from a fresh copy,
+    #: because a repair session records each repaired name in it.
+    const_map: Dict[str, str]
+    #: Taken right after the build; every job rolls back to it.
+    mark: EnvCheckpoint
+
+
+@dataclass
 class Resident:
     """One booted environment kept alive between jobs of a warm worker."""
 
@@ -224,11 +240,25 @@ class Resident:
     #: frozen) can no longer rebuild it honestly.
     fingerprint: str
     env: Environment
-    jobs: int = 0
+    #: The pristine boot, restored before another configuration builds.
+    boot: EnvCheckpoint
+    config: Optional[ResidentConfig] = None
 
 
 class StaleEnvironment(Exception):
     """A job's env fingerprint no longer matches the resident boot."""
+
+
+def _restore(
+    residents: Dict[str, Resident], setup: str, mark: EnvCheckpoint
+) -> bool:
+    """Roll ``setup``'s resident back to ``mark``; drop it on refusal."""
+    try:
+        residents[setup].env.rollback(mark)
+    except EnvError:
+        del residents[setup]
+        return False
+    return True
 
 
 def execute_warm(
@@ -236,13 +266,17 @@ def execute_warm(
 ) -> Dict[str, Any]:
     """Run one job against a resident environment, booting on first use.
 
-    The environment is checkpointed before the repair and rolled back
-    after it (success or failure), so each job observes the pristine
-    boot state — byte-identical results to a fresh per-job boot, which
-    the digest-parity gates assert.  If the rollback itself refuses
-    (the repair performed a destructive mutation the checkpoint cannot
-    undo), the resident entry is dropped and the next job re-boots:
-    refuse-don't-corrupt.
+    The job's configuration stays resident with the environment and is
+    built again only for a job whose ``config`` spec has another key;
+    that build starts from the pristine boot, and one that raises leaves
+    the boot restored and no configuration resident.  Every job starts
+    from a fresh copy of the built ``const_map`` and ends rolled back
+    (success or failure) to the checkpoint taken after the build, so
+    each job observes the state a fresh per-job boot and build would —
+    byte-identical results, which the digest-parity gates assert.  If a
+    rollback refuses (the repair performed a destructive mutation the
+    checkpoint cannot undo), the resident entry is dropped and the next
+    job re-boots: refuse-don't-corrupt.
     """
     setup = payload["setup"]
     claimed = str(payload.get("env_fingerprint", ""))
@@ -253,16 +287,32 @@ def execute_warm(
         )
     started = time.perf_counter()
     before = _stats_snapshot()
+    key = json.dumps(payload["config"], sort_keys=True, separators=(",", ":"))
+    if entry is not None and (entry.config is None or entry.config.key != key):
+        entry.config = None
+        if not _restore(residents, setup, entry.boot):
+            entry = None
     if entry is None:
-        entry = Resident(fingerprint=claimed, env=build_environment(setup))
+        env = build_environment(setup)
+        entry = Resident(fingerprint=claimed, env=env, boot=env.checkpoint())
         residents[setup] = entry
         job_boot = "scratch"
     else:
+        env = entry.env
         job_boot = "warm"
-    env = entry.env
-    mark = env.checkpoint()
+    if entry.config is None:
+        try:
+            config = build_config(env, payload["config"])
+        except BaseException:
+            _restore(residents, setup, entry.boot)
+            raise
+        entry.config = ResidentConfig(
+            key, config, dict(config.const_map), env.checkpoint()
+        )
+    resident = entry.config
+    config = resident.config
+    config.const_map = dict(resident.const_map)
     try:
-        config = build_config(env, payload["config"])
         session = RepairSession(
             env,
             config,
@@ -275,11 +325,7 @@ def execute_warm(
         )
         record = build_record(env, session, result, before, started)
     finally:
-        try:
-            env.rollback(mark)
-        except EnvError:
-            residents.pop(setup, None)
-    entry.jobs += 1
+        _restore(residents, setup, resident.mark)
     record["env_boot"] = job_boot
     return record
 
@@ -339,10 +385,11 @@ def serve() -> int:
     * ``{"op": "shutdown"}`` — replies ``{"op": "bye", "served": n}``
       and exits.  EOF on stdin exits the same way, sans farewell.
 
-    Booted environments stay resident in ``residents`` across jobs (the
-    warm path); injected crashes still ``os._exit`` the whole process
-    and injected hangs still stall it — the pool's deadline/respawn
-    machinery handles both exactly as it would a real fault.
+    Booted environments and their configurations stay resident in
+    ``residents`` across jobs (the warm path); injected crashes still
+    ``os._exit`` the whole process and injected hangs still stall it —
+    the pool's deadline/respawn machinery handles both exactly as it
+    would a real fault.
     """
     out = sys.stdout.buffer
     residents: Dict[str, Resident] = {}

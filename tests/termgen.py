@@ -13,6 +13,11 @@ and yields a label alongside each term carrying the *explicit seed* and
 index — so an assertion that fires deep in a 300-iteration loop names
 the exact ``random.Random(seed)`` replay recipe in its message instead
 of just an opaque index.
+
+Two mutators turn a generated term into one the kernel must reject:
+:func:`bump_first_rel` (an out-of-scope ``Rel``) and
+:func:`drop_first_elim_case` (an eliminator missing a branch).  The
+scope checker's fuzz tests and the warm-cache soundness suite share them.
 """
 
 import random
@@ -130,3 +135,67 @@ def random_term(
         ),
         recur(depth - 1, binders),
     )
+
+
+def bump_first_rel(term, binders=0):
+    """Make the first ``Rel`` found out of scope; None when there is none."""
+    if isinstance(term, Rel):
+        return Rel(term.index + binders + 1)
+    if isinstance(term, App):
+        fn = bump_first_rel(term.fn, binders)
+        if fn is not None:
+            return App(fn, term.arg)
+        arg = bump_first_rel(term.arg, binders)
+        return App(term.fn, arg) if arg is not None else None
+    if isinstance(term, Lam):
+        domain = bump_first_rel(term.domain, binders)
+        if domain is not None:
+            return Lam(term.name, domain, term.body)
+        body = bump_first_rel(term.body, binders + 1)
+        return Lam(term.name, term.domain, body) if body is not None else None
+    if isinstance(term, Pi):
+        domain = bump_first_rel(term.domain, binders)
+        if domain is not None:
+            return Pi(term.name, domain, term.codomain)
+        codomain = bump_first_rel(term.codomain, binders + 1)
+        if codomain is not None:
+            return Pi(term.name, term.domain, codomain)
+        return None
+    if isinstance(term, Elim):
+        motive = bump_first_rel(term.motive, binders)
+        if motive is not None:
+            return Elim(term.ind, motive, term.cases, term.scrut)
+        for j, case in enumerate(term.cases):
+            mutated = bump_first_rel(case, binders)
+            if mutated is not None:
+                cases = (
+                    term.cases[:j] + (mutated,) + term.cases[j + 1 :]
+                )
+                return Elim(term.ind, term.motive, cases, term.scrut)
+        scrut = bump_first_rel(term.scrut, binders)
+        if scrut is not None:
+            return Elim(term.ind, term.motive, term.cases, scrut)
+        return None
+    return None
+
+
+def drop_first_elim_case(term):
+    """Drop the last case of the first ``Elim`` found; None when none."""
+    if isinstance(term, Elim):
+        return Elim(term.ind, term.motive, term.cases[:-1], term.scrut)
+    if isinstance(term, App):
+        fn = drop_first_elim_case(term.fn)
+        if fn is not None:
+            return App(fn, term.arg)
+        arg = drop_first_elim_case(term.arg)
+        return App(term.fn, arg) if arg is not None else None
+    if isinstance(term, (Lam, Pi)):
+        inner = "body" if isinstance(term, Lam) else "codomain"
+        domain = drop_first_elim_case(term.domain)
+        if domain is not None:
+            return type(term)(term.name, domain, getattr(term, inner))
+        sub = drop_first_elim_case(getattr(term, inner))
+        if sub is not None:
+            return type(term)(term.name, term.domain, sub)
+        return None
+    return None

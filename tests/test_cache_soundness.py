@@ -23,6 +23,11 @@ no delta-unfolding can cycle.
 Every warm step runs with the caches switched on and every reference
 step with them off, so this suite means the same under
 ``REPRO_DISABLE_KERNEL_CACHES=1``.  A failure names its seed and step.
+
+The analysis fuzzer's ill-typed mutants (an out-of-scope ``Rel``, an
+eliminator missing a branch) are typechecked against caches warmed by
+every term they were made from, and must be refused exactly as a fresh,
+cache-free environment refuses them.
 """
 
 import random
@@ -51,7 +56,13 @@ from repro.kernel.term import (
 from repro.kernel.typecheck import infer
 from repro.stdlib import make_env
 from repro.syntax.parser import parse
-from tests.termgen import DEFAULT_CONSTS, random_term
+from tests.termgen import (
+    DEFAULT_CONSTS,
+    bump_first_rel,
+    drop_first_elim_case,
+    fuzz_terms,
+    random_term,
+)
 
 SEEDS = range(8)
 STEPS = 250
@@ -425,3 +436,38 @@ def test_caches_agree_with_cache_free_reference(seed, reference):
             f"{where} {label}: warm caches disagree with the cache-free "
             f"reference: {first_difference(got, expected)}"
         )
+
+
+# -- Ill-typed mutants against warm caches -------------------------------------
+
+MUTANTS = (("rel-bump", bump_first_rel), ("dropped-branch", drop_first_elim_case))
+
+
+def infer_verdict(env, term):
+    """The inferred type, or the class and message of the refusal."""
+    try:
+        return ("ok", pretty(infer(env, Context.empty(), term)))
+    except TermError as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+def test_warm_caches_reject_every_mutant():
+    mutants = []
+    with kernel_caches(True):
+        warm = make_env(lists=False, vectors=False)
+        for seed in SEEDS:
+            for label, term in fuzz_terms(seed, 100, warm, depth=4):
+                infer_verdict(warm, term)
+                for kind, mutate in MUTANTS:
+                    mutated = mutate(term)
+                    if mutated is not None:
+                        mutants.append((f"{label} {kind}", mutated))
+        got = [infer_verdict(warm, mutated) for _, mutated in mutants]
+    with kernel_caches(False):
+        cold = make_env(lists=False, vectors=False)
+        expected = [infer_verdict(cold, rebuild(m)) for _, m in mutants]
+    kinds = {label.rsplit(" ", 1)[1] for label, _ in mutants}
+    assert kinds == {kind for kind, _ in MUTANTS}
+    for (label, _), verdict, reference in zip(mutants, got, expected):
+        assert reference[0] == "error", f"{label}: accepted {reference}"
+        assert verdict == reference, f"{label}: {verdict} != {reference}"

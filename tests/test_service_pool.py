@@ -19,11 +19,20 @@ from repro.service import (
     WorkerPool,
     run_batch,
 )
+from repro.core.config import ConfigError
+from repro.core.search import configure
+from repro.kernel.term import Const, Constr
+from repro.service import worker
 from repro.service.job import fingerprint_source, result_digest
 from repro.service.cases import six_case_jobs
 from repro.service.faults import JobTimeout, WorkerCrash
 from repro.service.job import RepairJob
 from repro.service.pool import kill_process_group, worker_environ
+from repro.service.worker import (
+    build_config,
+    build_environment,
+    execute_warm,
+)
 from repro.service.proto import (
     FrameParser,
     FrameStream,
@@ -54,6 +63,10 @@ def _refactor_jobs():
         for j in six_case_jobs()
         if j.name.startswith("refactor/") or j.name == "galois/cork"
     ]
+
+
+def _six_case_payload(name):
+    return next(j for j in six_case_jobs() if j.name == name).payload()
 
 
 def _one_job_pool():
@@ -159,18 +172,24 @@ class TestNoisyWorker:
         """A worker printing ``{``-prefixed JSON diagnostics between its
         result frames must not confuse the pool: the noise after one
         frame is read ahead of the next job's reply."""
-        # The job's configuration builder (tests/noisy_config.py) prints
-        # the noise; the worker imports it from the repository root.
+        # The jobs' configuration builders (tests/noisy_config.py) print
+        # the noise; the worker imports them from the repository root.
+        # Each job names its own builder, so the worker builds (and
+        # prints) for the second job too instead of reusing the first
+        # job's resident configuration.
         root = str(Path(__file__).resolve().parent.parent)
         existing = os.environ.get("PYTHONPATH")
         monkeypatch.setenv(
             "PYTHONPATH", os.pathsep.join([root] + ([existing] if existing else []))
         )
-        job = _quickstart_job(
-            config={"kind": "dotted", "ref": "tests.noisy_config:config"}
-        )
+        jobs = [
+            _quickstart_job(
+                config={"kind": "dotted", "ref": f"tests.noisy_config:{name}"}
+            )
+            for name in ("config", "config_again")
+        ]
         with WorkerPool(1) as pool:
-            records = [pool.run_job(job.payload(), 0, 120) for _ in range(2)]
+            records = [pool.run_job(job.payload(), 0, 120) for job in jobs]
         for record in records:
             assert record["status"] == STATUS_OK
             assert record["new_name"] == "New.rev_app_distr"
@@ -322,6 +341,133 @@ class TestServeLoop:
             kill_process_group(process)
 
 
+# -- Resident configurations --------------------------------------------------
+
+
+def polluting_config(env):
+    """Declare the quickstart job's result name, then fail the build."""
+    env.define("New.rev_app_distr", Const("rev_app_distr"))
+    raise ConfigError("build failed after declaring New.rev_app_distr")
+
+
+def declaring_config(env):
+    """Declare a helper constant, then configure ``list ~= New.list``."""
+    env.define("helper", Constr("nat", 0))
+    return configure(env, "list", "New.list")
+
+
+#: The same builder under a second name, so it has another config key.
+declaring_config_again = declaring_config
+
+
+def _fresh_digest(payload):
+    """The job's digest on a fresh resident table (boot, build, repair)."""
+    return result_digest(execute_warm({}, payload))
+
+
+def _count_builds(monkeypatch):
+    """Record every configuration build ``execute_warm`` makes."""
+    builds = []
+
+    def counting(env, spec):
+        builds.append(spec)
+        return build_config(env, spec)
+
+    monkeypatch.setattr(worker, "build_config", counting)
+    return builds
+
+
+class TestResidentConfiguration:
+    """A resident keeps one configuration; no job may observe it."""
+
+    def test_warm_runs_match_a_fresh_resident(self):
+        jobs = six_case_jobs()
+        fresh = {job.name: _fresh_digest(job.payload()) for job in jobs}
+        residents = {}
+        for _ in range(3):
+            for job in jobs:
+                record = execute_warm(residents, job.payload())
+                assert result_digest(record) == fresh[job.name], job.name
+
+    @pytest.mark.parametrize(
+        "name, a_config, b_config, differs",
+        [
+            # Another constructor mapping: B repairs differently from A.
+            (
+                "replica/eval_eq_true_or_false",
+                None,
+                {
+                    "kind": "auto",
+                    "a": "Old.Term",
+                    "b": "New0.Term",
+                    "mapping": [0, 2, 1, 4, 3, 5, 6],
+                },
+                True,
+            ),
+            # Both builds declare ``helper``: each must start from the
+            # boot, not from the environment the other build left.
+            (
+                "quickstart/rev_app_distr",
+                {"kind": "dotted", "ref": f"{__name__}:declaring_config"},
+                {"kind": "dotted", "ref": f"{__name__}:declaring_config_again"},
+                False,
+            ),
+        ],
+        ids=("another-mapping", "declaring-builds"),
+    )
+    def test_switching_configurations_rebuilds_from_the_boot(
+        self, monkeypatch, name, a_config, b_config, differs
+    ):
+        a = _six_case_payload(name)
+        if a_config is not None:
+            a["config"] = a_config
+        b = dict(a, config=b_config)
+        fresh = {"a": _fresh_digest(a), "b": _fresh_digest(b)}
+        assert (fresh["a"] != fresh["b"]) == differs
+        builds = _count_builds(monkeypatch)
+        residents = {}
+        digests = [
+            result_digest(execute_warm(residents, payload))
+            for payload in (a, b, a)
+        ]
+        assert digests == [fresh["a"], fresh["b"], fresh["a"]]
+        assert len(builds) == 3
+
+    def test_a_repeated_configuration_builds_once(self, monkeypatch):
+        payload = _quickstart_job().payload()
+        fresh = _fresh_digest(payload)
+        builds = _count_builds(monkeypatch)
+        residents = {}
+        records = [execute_warm(residents, payload) for _ in range(3)]
+        assert [result_digest(r) for r in records] == [fresh] * 3
+        assert [r["env_boot"] for r in records] == ["scratch", "warm", "warm"]
+        assert len(builds) == 1
+
+    def test_a_failed_build_leaves_the_pristine_boot(self):
+        payload = _quickstart_job().payload()
+        fresh = _fresh_digest(payload)
+        broken = dict(
+            payload,
+            config={
+                "kind": "dotted",
+                "ref": f"{__name__}:polluting_config",
+            },
+        )
+        residents = {}
+        execute_warm(residents, payload)
+        with pytest.raises(ConfigError):
+            execute_warm(residents, broken)
+        entry = residents[QUICKSTART_SETUP]
+        assert entry.config is None
+        assert (
+            entry.env.declaration_order()
+            == build_environment(QUICKSTART_SETUP).declaration_order()
+        )
+        record = execute_warm(residents, payload)
+        assert record["env_boot"] == "warm"
+        assert result_digest(record) == fresh
+
+
 # -- The pool -----------------------------------------------------------------
 
 
@@ -371,6 +517,16 @@ class TestWorkerPool:
         stats = pool.stats()
         assert stats["spawned"] == 2
         assert stats["recycled"] == 2
+
+    def test_default_pool_never_recycles_a_healthy_worker(self):
+        payload = _six_case_payload("binary/slow_add")
+        with WorkerPool(1) as pool:
+            records = [pool.run_job(payload, 0, 120) for _ in range(70)]
+        assert {record["status"] for record in records} == {STATUS_OK}
+        stats = pool.stats()
+        assert stats["spawned"] == 1
+        assert stats["recycled"] == 0
+        assert stats["warm_jobs"] == 69
 
     def test_injected_hang_kills_only_the_stuck_worker(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_HANG_S", "60")
