@@ -106,14 +106,16 @@ class ReductionCache:
 class EnvCheckpoint:
     """An opaque rollback token from :meth:`Environment.checkpoint`.
 
-    Captures how many globals were declared, the stamp of the newest
-    one, how many *destructive* mutations (``remove`` calls) the
-    environment had seen, and a shallow snapshot of the reduction-cache
-    store.  Valid for :meth:`Environment.rollback` only while every
-    change since it was taken has been additive and no rollback has
-    dropped a declaration it saw.
+    Captures the environment that took it (by its ``owner`` token),
+    how many globals were declared, the stamp of the newest one, how
+    many *destructive* mutations (``remove`` calls) the environment had
+    seen, and a shallow snapshot of the reduction-cache store.  Valid
+    for :meth:`Environment.rollback` of that environment only, and only
+    while every change since it was taken has been additive and no
+    rollback has dropped a declaration it saw.
     """
 
+    owner: object
     depth: int
     top: int
     destructive: int
@@ -151,6 +153,10 @@ class Environment:
             Tuple[int, Dict[str, FrozenSet[str]]]
         ] = None
         self.reduction_cache = ReductionCache()
+        #: Names this environment in its checkpoints.  Another
+        #: environment (a fork, say) can share its whole history, so
+        #: depth and stamps alone cannot tell its marks apart.
+        self._token = object()
 
     @property
     def revision(self) -> int:
@@ -249,6 +255,7 @@ class Environment:
         long-lived environment can serve many hermetic repairs.
         """
         return EnvCheckpoint(
+            owner=self._token,
             depth=len(self._decl_order),
             top=self._stamps[-1] if self._stamps else 0,
             destructive=self._destructive,
@@ -267,8 +274,15 @@ class Environment:
         with :class:`EnvError` — callers should discard the environment
         and rebuild instead.  So does a mark taken after an earlier
         rollback's target: that rollback dropped declarations the mark
-        saw.  Rolling back to the same mark again is fine.
+        saw, and so does a mark another environment took: its cache
+        snapshot holds verdicts over that environment's declarations.
+        Rolling back to the same mark again is fine.
         """
+        if mark.owner is not self._token:
+            raise EnvError(
+                "cannot roll back: the checkpoint belongs to another "
+                "environment"
+            )
         if mark.destructive != self._destructive:
             raise EnvError(
                 "cannot roll back: the environment saw remove after "
@@ -293,6 +307,30 @@ class Environment:
         self.reduction_cache.restore_store(mark.cache_store)
         self._mutated()
         return added
+
+    def fork(self) -> Environment:
+        """An independent environment holding this one's declarations.
+
+        The fork shares the declaration objects and their arena terms,
+        which are immutable and were checked when they entered this
+        environment, so nothing enters the fork unchecked.  It owns its
+        declaration tables and a shallow copy of the reduction-cache
+        store (the copy :meth:`checkpoint` takes): later changes to
+        either environment never show in the other, and neither accepts
+        the other's checkpoints.  The memo on a shared
+        :class:`InductiveDecl` (``case_types``) is shared too; it is a
+        pure function of the declaration.
+        """
+        fork = Environment()
+        fork._constants = dict(self._constants)
+        fork._inductives = dict(self._inductives)
+        fork._decl_order = list(self._decl_order)
+        fork._stamps = list(self._stamps)
+        # Stamps come from the revision: continuing it keeps every
+        # stamp unique, the fork's own above every copied one.
+        fork._revision = self._revision
+        fork.reduction_cache.restore_store(self.reduction_cache._store)
+        return fork
 
     # -- Declaration --------------------------------------------------------
 

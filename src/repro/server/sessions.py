@@ -21,8 +21,13 @@ stays a thin adapter:
   every create).  A session whose lock is held is never evicted, no
   matter how old its timestamp — in-flight work wins.
 
-Sessions boot through :func:`repro.service.worker.build_environment`,
-the same scratch elaboration pool workers run.
+Sessions boot by forking a resident base environment
+(:meth:`~repro.kernel.env.Environment.fork`).  The manager builds one
+base per setup, through :func:`repro.service.worker.build_environment`
+(the same checked scratch elaboration pool workers run), on the first
+create of that setup, and never mutates it; every session gets a fork
+of it, so boot is paid once per setup per server.  The manager keeps at
+most ``max_sessions`` bases, dropping the least recently forked first.
 """
 
 from __future__ import annotations
@@ -30,9 +35,11 @@ from __future__ import annotations
 import re
 import threading
 import time
+from collections import OrderedDict
 from typing import Any, Dict, List, Optional
 
 from ..commands import CommandError, CommandSession
+from ..kernel.env import Environment
 from ..service.worker import build_environment
 
 #: Default bound on live sessions.
@@ -79,7 +86,7 @@ class ManagedSession:
         return {
             "name": self.name,
             "setup": self.setup,
-            "env_boot": "scratch",
+            "env_boot": "fork",
             "created_at": self.created,
             "idle_s": round(max(0.0, now - self.last_used), 3),
             "commands": self.commands,
@@ -102,6 +109,10 @@ class SessionManager:
         # boot happens outside the table lock).
         self._table: Dict[str, Optional[ManagedSession]] = {}
         self._lock = threading.Lock()
+        #: setup -> its resident base environment, least recently
+        #: forked first; built and dropped under ``_bases_lock``.
+        self._bases: OrderedDict[str, Environment] = OrderedDict()
+        self._bases_lock = threading.Lock()
         #: Lifetime counters for the metrics endpoint.
         self.created_total = 0
         self.evicted_total = 0
@@ -137,7 +148,7 @@ class SessionManager:
             self._table[name] = None
         try:
             managed = ManagedSession(
-                name, setup, CommandSession(build_environment(setup))
+                name, setup, CommandSession(self._base(setup).fork())
             )
         except BaseException:
             with self._lock:
@@ -156,11 +167,31 @@ class SessionManager:
         return managed.info()
 
     def close_all(self) -> int:
-        """Drop every session (server drain); returns how many."""
+        """Drop every session and base (server drain).
+
+        Returns how many sessions were dropped.
+        """
         with self._lock:
             count = len(self._table)
             self._table.clear()
+        with self._bases_lock:
+            self._bases.clear()
         return count
+
+    def _base(self, setup: str) -> Environment:
+        """The resident base environment of ``setup``, built on first use.
+
+        A build that raises caches nothing.  Callers fork the base and
+        never mutate it, so forks may run outside the lock.
+        """
+        with self._bases_lock:
+            base = self._bases.pop(setup, None)
+            if base is None:
+                base = build_environment(setup)
+            self._bases[setup] = base
+            if len(self._bases) > self.max_sessions:
+                self._bases.popitem(last=False)
+            return base
 
     def sweep(self, now: Optional[float] = None) -> List[str]:
         """Evict sessions idle past the TTL; returns evicted names.

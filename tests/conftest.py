@@ -32,6 +32,22 @@ def no_kernel_caches():
     set_kernel_caches(previous)
 
 
+@pytest.fixture
+def session_builds(monkeypatch):
+    """The setups server sessions build a base environment for, in order."""
+    from repro.server import sessions
+
+    builds = []
+    build = sessions.build_environment
+
+    def counting_build(setup):
+        builds.append(setup)
+        return build(setup)
+
+    monkeypatch.setattr(sessions, "build_environment", counting_build)
+    return builds
+
+
 @pytest.fixture(scope="session")
 def env_basic():
     """Prelude + nat only."""

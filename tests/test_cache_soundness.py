@@ -3,20 +3,28 @@
 A warm, caches-on environment (hash consing, the de Bruijn memo tables
 and the reduction cache with its ``infer``/``check``/``conv`` verdicts)
 goes through seeded random runs of ``define``, ``remove``,
-``checkpoint``, ``rollback`` and ``reduction_cache.clear()`` — the
-history a warm pool worker or a server session puts an environment
-through.  After every step, random terms (from :mod:`tests.termgen`
+``checkpoint``, ``rollback``, ``reduction_cache.clear()`` and ``fork``
+— the history a warm pool worker or a server session puts an
+environment through.  Each step picks the base environment or one of
+the forks made so far, and the model tracks each environment's own
+history.  After every step, random terms (from :mod:`tests.termgen`
 plus typed terms over the user constants) must get the same ``infer``
-result, ``nf`` and ``conv`` verdicts, or the same error class, as in a
-cache-free reference: an environment used with every cache layer off,
-into which the model's current user declarations are replayed from
-scratch.  The replay goes through the checked ``define``, so the
-reference also re-checks every declaration the warm side accepted.
+result, ``nf`` and ``conv`` verdicts in the environment the step
+changed, or the same error class, as in a cache-free reference: an
+environment used with every cache layer off, into which that
+environment's current user declarations are replayed from scratch.
+The replay goes through the checked ``define``, so the reference also
+re-checks every declaration the warm side accepted.
 
 Rollback follows its contract: a rollback succeeds exactly when no
 ``remove`` happened since the mark, and restores the declarations the
 mark saw; it also invalidates every newer mark, which the model then
-forgets.  Generated bodies only mention user constants declared
+forgets.  A mark another environment took (a fork's base, a sibling,
+a fork of its own) is always refused.  A fork starts with its source's
+declarations and no marks, and after every step every environment
+still holds exactly its own model's declarations, so a fork's
+``define``, ``remove`` or ``rollback`` never shows in its base or its
+siblings.  Generated bodies only mention user constants declared
 earlier, and ``remove`` only drops constants nothing else mentions, so
 no delta-unfolding can cycle.
 
@@ -74,7 +82,10 @@ OPS = (
     ("checkpoint", 3),
     ("rollback", 3),
     ("clear", 1),
+    ("fork", 1),
 )
+#: The base environment and at most three forks.
+MAX_ENVS = 4
 
 
 @contextmanager
@@ -235,6 +246,12 @@ class Model:
         self.marks = []
         self.destructive = 0
 
+    def fork(self):
+        """The model of a fork: the same declarations and no marks."""
+        model = Model()
+        model.decls = list(self.decls)
+        return model
+
     def names(self):
         return tuple(d[0] for d in self.decls)
 
@@ -334,9 +351,17 @@ def first_difference(got, expected):
     return next(f"{g} != {e}" for g, e in zip(got, expected) if g != e)
 
 
-def run_step(rng, warm, ref, model, where):
-    """One random mutation of ``warm``; returns a label for messages."""
+def run_step(rng, envs, index, ref, where):
+    """One random mutation of ``envs[index]``; returns a label for
+    messages.  ``envs`` lists ``(environment, model)`` pairs; a fork
+    is appended to it."""
+    warm, model = envs[index]
     op = rng.choices([o for o, _ in OPS], [w for _, w in OPS])[0]
+    if op == "fork":
+        if len(envs) >= MAX_ENVS:
+            return "fork (full)"
+        envs.append((warm.fork(), model.fork()))
+        return f"fork -> env {len(envs) - 1}"
     live = model.names()
     if op == "define":
         free = [n for n in NAMES if n not in live]
@@ -379,6 +404,18 @@ def run_step(rng, warm, ref, model, where):
         )
         return "checkpoint"
     if op == "rollback":
+        foreign = [
+            mark
+            for other, (_, other_model) in enumerate(envs)
+            if other != index
+            for mark, _, _ in other_model.marks
+        ]
+        if foreign and rng.random() < 0.25:
+            try:
+                warm.rollback(rng.choice(foreign))
+            except EnvError:
+                return "rollback to a foreign mark (refused)"
+            raise AssertionError(f"{where} rollback to a foreign mark accepted")
         if not model.marks:
             return "rollback (none)"
         # Biased toward recent marks, which are the likelier to be valid.
@@ -409,17 +446,21 @@ def reference():
 def test_caches_agree_with_cache_free_reference(seed, reference):
     rng = random.Random(seed)
     with kernel_caches(True):
-        warm = make_env(lists=False, vectors=False)
-    assert warm.reduction_cache.size > 0
-    base = warm.declaration_order()
-    model = Model()
+        base_env = make_env(lists=False, vectors=False)
+    assert base_env.reduction_cache.size > 0
+    base = base_env.declaration_order()
+    envs = [(base_env, Model())]
     for step in range(STEPS):
-        where = f"seed={seed} step={step}"
+        index = rng.randrange(len(envs))
+        where = f"seed={seed} step={step} env={index}"
         with kernel_caches(True):
-            label = run_step(rng, warm, reference, model, where)
-            assert warm.declaration_order() == base + model.names(), (
-                f"{where} {label}: declarations drifted from the model"
-            )
+            label = run_step(rng, envs, index, reference, where)
+            for other, (env, model) in enumerate(envs):
+                assert env.declaration_order() == base + model.names(), (
+                    f"{where} {label}: env {other}'s declarations drifted "
+                    "from its model"
+                )
+            warm, model = envs[index]
             probes = probe_terms(rng, warm, model)
             n_pairs = min(len(probes), 6)
             pairs = [

@@ -10,7 +10,10 @@ from repro.kernel import (
     Rel,
     SET,
     TermError,
+    TypeError_,
+    check,
 )
+from repro.stdlib import make_env
 from repro.stdlib.natlib import declare_nat
 from repro.stdlib.prelude import declare_prelude
 from repro.syntax.parser import parse
@@ -116,12 +119,34 @@ class TestEnvironment:
         env = Environment()
         declare_prelude(env)
         declare_nat(env)
+        early = env.checkpoint()
         env.define("two", parse(env, "2"))
         mark = env.checkpoint()
-        fresh = Environment()
-        declare_prelude(fresh)
-        with pytest.raises(EnvError):
-            fresh.rollback(mark)
+        env.rollback(early)
+        with pytest.raises(EnvError, match="ahead"):
+            env.rollback(mark)
+
+    def test_rollback_refuses_a_checkpoint_another_environment_took(self):
+        # Two environments with the same history: depth, stamps and
+        # removes all agree, so only the mark's owner tells them apart.
+        e1 = make_env(lists=False, vectors=False)
+        e2 = make_env(lists=False, vectors=False)
+        e1.define("foo", parse(e1, "O"))
+        check(
+            e1,
+            Context.empty(),
+            parse(e1, "eq_refl nat O"),
+            parse(e1, "eq nat foo O"),
+        )
+        e1_mark = e1.checkpoint()
+        e2.define("foo", parse(e2, "S O"))
+        with pytest.raises(EnvError, match="another environment"):
+            e2.rollback(e1_mark)
+        # e1's cached verdict on ``foo`` must not reach e2's checker.
+        with pytest.raises(TypeError_):
+            e2.define(
+                "bogus", parse(e2, "eq_refl nat O"), parse(e2, "eq nat foo O")
+            )
 
     def test_rollback_refuses_marks_taken_after_its_target(self):
         env = Environment()
@@ -153,6 +178,36 @@ class TestEnvironment:
             env.define(f"job{job}", parse(env, str(job)))
             assert env.rollback(mark) == (f"job{job}",)
         assert env.declaration_order() == order
+
+
+class TestFork:
+    def _base(self):
+        env = Environment()
+        declare_prelude(env)
+        declare_nat(env)
+        env.define("two", parse(env, "2"))
+        return env
+
+    def test_fork_shares_declarations_by_identity(self):
+        base = self._base()
+        fork = base.fork()
+        assert fork.declaration_order() == base.declaration_order()
+        assert fork.constant("two") is base.constant("two")
+        assert fork.inductive("nat") is base.inductive("nat")
+        assert fork.reduction_cache.size == base.reduction_cache.size
+
+    def test_remove_in_a_fork_leaves_the_base_intact(self):
+        base = self._base()
+        order = base.declaration_order()
+        mark = base.checkpoint()
+        fork = base.fork()
+        fork.remove("two")
+        fork.define("three", parse(fork, "3"))
+        assert not fork.has_constant("two")
+        assert base.declaration_order() == order
+        assert base.has_constant("two")
+        assert not base.has_constant("three")
+        assert base.rollback(mark) == ()
 
 
 class TestContext:

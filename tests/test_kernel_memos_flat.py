@@ -1,26 +1,32 @@
 """Environment builds leave the process-global kernel memos flat.
 
-A server session, a pool worker's re-boot and a batch job each build a
-fresh environment in a long-lived process.  The term arena and the
-term-keyed memos are shared by every environment, so an entry that
-mentions a per-environment object (a declaration, say) would be new on
-every build and pin that object for good.  Memos over such objects
-live on the objects instead (``InductiveDecl.case_types``).
+A pool worker's re-boot and a batch job each build a fresh environment
+in a long-lived process.  The term arena and the term-keyed memos are
+shared by every environment, so an entry that mentions a
+per-environment object (a declaration, say) would be new on every
+build and pin that object for good.  Memos over such objects live on
+the objects instead (``InductiveDecl.case_types``).
+
+Server sessions fork one resident base environment per setup, so every
+session shares the base's declarations and their ``case_types`` memos:
+those must stay flat over repeated sessions too.
 """
 
 from repro.commands import CommandSession
 from repro.kernel import term
-from repro.server.sessions import DEFAULT_SETUP
+from repro.server.sessions import DEFAULT_SETUP, SessionManager
 from repro.service.worker import build_environment
 
 
+SESSION_SCRIPT = (
+    "Repair list New.list in rev_app_distr as rev_app_distr_new.\n"
+    "Decompile rev_app_distr_new."
+)
+
+
 def _session_round():
-    """What one server session does: boot, repair, decompile."""
-    session = CommandSession(build_environment(DEFAULT_SETUP))
-    session.execute(
-        "Repair list New.list in rev_app_distr as rev_app_distr_new."
-    )
-    session.execute("Decompile rev_app_distr_new.")
+    """What one session does over a fresh build: repair, decompile."""
+    CommandSession(build_environment(DEFAULT_SETUP)).run(SESSION_SCRIPT)
 
 
 def _memo_sizes():
@@ -42,3 +48,28 @@ def test_environment_builds_leave_memos_flat(kernel_caches_on):
     for _ in range(8):
         _session_round()
     assert _memo_sizes() == before
+
+
+def test_sessions_forking_one_base_leave_memos_flat(
+    kernel_caches_on, session_builds
+):
+    manager = SessionManager(max_sessions=2)
+
+    def managed_round(i):
+        """What one server session does, through the session manager."""
+        name = f"s{i}"
+        manager.create(name, DEFAULT_SETUP)
+        manager.run(name, SESSION_SCRIPT)
+        manager.close(name)
+
+    def case_type_sizes():
+        base = manager._bases[DEFAULT_SETUP]
+        return {ind.name: len(ind.case_types) for ind in base.inductives()}
+
+    for i in range(2):
+        managed_round(i)
+    before = _memo_sizes(), case_type_sizes()
+    for i in range(2, 10):
+        managed_round(i)
+    assert (_memo_sizes(), case_type_sizes()) == before
+    assert session_builds == [DEFAULT_SETUP]

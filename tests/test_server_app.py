@@ -1,11 +1,13 @@
 """The repair server's application layer, driven without sockets."""
 
 import json
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.commands import CommandSession
 from repro.obs import Histogram
 from repro.server.app import RepairApp, Request, ServerConfig
 from repro.server.queue import JobQueue, QueueRejected
@@ -13,8 +15,9 @@ from repro.server.ratelimit import RateLimiter
 from repro.server.routes import Route, RouteError, Router
 from repro.server.sessions import SessionManager, SessionRejected
 from repro.service import BatchOptions, run_batch
-from repro.service.job import result_digest
+from repro.service.job import JobError, result_digest
 from repro.service.scheduler import inprocess_runner
+from repro.service.worker import build_environment
 from repro.service.manifest import jobs_from_manifest
 
 QUICKSTART_SETUP = "repro.service.cases:quickstart_env"
@@ -231,7 +234,7 @@ class TestSessionManager:
         manager = self._manager()
         info = manager.create("demo", QUICKSTART_SETUP)
         assert info["name"] == "demo"
-        assert info["env_boot"] == "scratch"
+        assert info["env_boot"] == "fork"
         out = manager.run(
             "demo", "Repair list New.list in rev_app_distr."
         )
@@ -239,6 +242,80 @@ class TestSessionManager:
         assert manager.info("demo")["commands"] == 1
         manager.close("demo")
         assert manager.count == 0
+
+    def test_live_sessions_of_one_setup_are_independent(self):
+        manager = self._manager()
+        manager.create("a", QUICKSTART_SETUP)
+        manager.create("b", QUICKSTART_SETUP)
+        script = (
+            "Repair list New.list in rev_app_distr as rev_app_distr_new.\n"
+            "Decompile rev_app_distr_new."
+        )
+        manager.run("a", "Remove list.")
+        assert not manager._live("a").session.env.has_inductive("list")
+        assert manager._live("b").session.env.has_inductive("list")
+        forked = manager.run("b", script)["results"][1]["text"]
+        scratch = CommandSession(build_environment(QUICKSTART_SETUP))
+        assert forked == scratch.run(script)[1].text
+
+    def test_sessions_fork_one_base_per_setup(self, session_builds):
+        manager = self._manager(max_sessions=4)
+        failing = "repro.service.cases:no_such_env"
+        for _ in range(2):
+            with pytest.raises(JobError):
+                manager.create("bad", failing)
+        # A failed build caches nothing, so the second create tries again.
+        assert session_builds == [failing, failing]
+        # More threads than cores, with short switch intervals, race
+        # their creates; one base is built and each session has a fork.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(
+                    target=manager.create, args=(f"s{i}", QUICKSTART_SETUP)
+                )
+                for i in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert session_builds.count(QUICKSTART_SETUP) == 1
+        envs = [manager._live(f"s{i}").session.env for i in range(4)]
+        assert len({id(env) for env in envs}) == 4
+        base = manager._bases[QUICKSTART_SETUP]
+        assert all(env is not base for env in envs)
+        assert all(
+            env.inductive("list") is base.inductive("list") for env in envs
+        )
+        for i in range(4):
+            manager.close(f"s{i}")
+        manager.create("again", QUICKSTART_SETUP)
+        assert session_builds.count(QUICKSTART_SETUP) == 1
+        manager.close_all()
+        assert not manager._bases
+
+    def test_bases_are_dropped_least_recently_forked_first(
+        self, session_builds
+    ):
+        manager = self._manager()  # at most two sessions, so two bases
+        replica = "repro.service.cases:replica_env"
+        refactor = "repro.service.cases:refactor_env"
+        for name, setup in [
+            ("a", QUICKSTART_SETUP),
+            ("b", replica),
+            ("c", QUICKSTART_SETUP),
+            ("d", refactor),  # drops replica's base, not quickstart's
+            ("e", replica),
+        ]:
+            manager.create(name, setup)
+            manager.close(name)
+        assert session_builds == [QUICKSTART_SETUP, replica, refactor, replica]
+        assert list(manager._bases) == [refactor, replica]
 
     def test_bad_name_duplicate_and_limit(self):
         manager = self._manager()
