@@ -33,6 +33,7 @@ from ..core.config import Configuration, MarkedIotaSide, TermSide
 from ..core.repair import RepairResult, RepairSession
 from ..kernel.env import Environment
 from ..kernel.term import Const, Constr, Ind, Term
+from ..obs import span
 from ..stdlib import make_env
 from ..syntax.parser import parse
 
@@ -125,19 +126,20 @@ def declare_iota_constants(env: Environment) -> None:
 
 def binary_configuration(env: Environment) -> Configuration:
     """The manual ``nat ~= N`` configuration of Section 6.3.1."""
-    declare_iota_constants(env)
-    side_a = MarkedIotaSide(
-        env, "nat", iota_names=("iota_nat_0", "iota_nat_1")
-    )
-    side_b = TermSide(
-        n_params=0,
-        type_fn=Ind("N"),
-        dep_constr=(Constr("N", 0), Const("N.succ")),
-        dep_elim=Const("N.peano_rect"),
-        constr_arities=(0, 1),
-        iota=(Const("iota_N_0"), Const("iota_N_1")),
-    )
-    return Configuration(a=side_a, b=side_b)
+    with span("configure", a="nat", b="N"):
+        declare_iota_constants(env)
+        side_a = MarkedIotaSide(
+            env, "nat", iota_names=("iota_nat_0", "iota_nat_1")
+        )
+        side_b = TermSide(
+            n_params=0,
+            type_fn=Ind("N"),
+            dep_constr=(Constr("N", 0), Const("N.succ")),
+            dep_elim=Const("N.peano_rect"),
+            constr_arities=(0, 1),
+            iota=(Const("iota_N_0"), Const("iota_N_1")),
+        )
+        return Configuration(a=side_a, b=side_b)
 
 
 def declare_marked_add_n_Sm(env: Environment) -> None:

@@ -23,6 +23,7 @@ from ..core.repair import RepairResult, RepairSession
 from ..kernel.env import Environment
 from ..kernel.inductive import ConstructorDecl, InductiveDecl
 from ..kernel.term import Ind, SET
+from ..obs import span
 from ..stdlib import make_env
 from ..syntax.parser import parse
 
@@ -116,30 +117,31 @@ def _prove_demorgan(env: Environment) -> None:
 
 def refactor_configuration(env: Environment) -> Configuration:
     """The manual configuration mapping A to true and B to false."""
-    dep_elim = parse(
-        env,
-        """
-        fun (P : J -> Type2) (fA : P (makeJ true)) (fB : P (makeJ false))
-            (j : J) =>
-          Elim[J](j; fun (j0 : J) => P j0)
-            { fun (b : bool) =>
-                Elim[bool](b; fun (b0 : bool) => P (makeJ b0))
-                  { fA, fB } }
-        """,
-    )
-    side_b = TermSide(
-        n_params=0,
-        type_fn=Ind("J"),
-        dep_constr=(
-            parse(env, "makeJ true"),
-            parse(env, "makeJ false"),
-        ),
-        dep_elim=dep_elim,
-        constr_arities=(0, 0),
-    )
-    config = Configuration(a=AlignedSide(env, "I"), b=side_b)
-    config.equivalence = _prove_equivalence(env)
-    return config
+    with span("configure", a="I", b="J"):
+        dep_elim = parse(
+            env,
+            """
+            fun (P : J -> Type2) (fA : P (makeJ true)) (fB : P (makeJ false))
+                (j : J) =>
+              Elim[J](j; fun (j0 : J) => P j0)
+                { fun (b : bool) =>
+                    Elim[bool](b; fun (b0 : bool) => P (makeJ b0))
+                      { fA, fB } }
+            """,
+        )
+        side_b = TermSide(
+            n_params=0,
+            type_fn=Ind("J"),
+            dep_constr=(
+                parse(env, "makeJ true"),
+                parse(env, "makeJ false"),
+            ),
+            dep_elim=dep_elim,
+            constr_arities=(0, 0),
+        )
+        config = Configuration(a=AlignedSide(env, "I"), b=side_b)
+        config.equivalence = _prove_equivalence(env)
+        return config
 
 
 def _prove_equivalence(env: Environment) -> Equivalence:

@@ -51,17 +51,37 @@ from .analysis.diagnostics import Diagnostic, Severity
 from .analysis.scope import check_constant, check_environment
 from .analysis.tacticlint import lint_script
 from .core.caching import TransformCache
-from .core.config import Configuration
-from .core.repair import RepairResult, RepairSession
+from .core.config import ConfigError, Configuration
+from .core.repair import RepairError, RepairResult, RepairSession
 from .core.search import configure
 from .decompile.decompiler import decompile_to_script, print_script
-from .decompile.run import run_script
+from .decompile.run import ScriptError, run_script
 from .kernel.env import Environment
+from .kernel.term import TermError
 from .obs import span
+from .syntax.lexer import LexError
+from .syntax.parser import ParseError
+from .tactics.engine import TacticError
 
 
 class CommandError(Exception):
     """Raised for unknown or malformed commands."""
+
+
+#: The repair stack's own exception families.  A command failing with
+#: one of these failed as a command (an unknown constant, no
+#: configuration, a proof that does not check); anything else is a bug
+#: and propagates as is.  ``Repair ... in`` already turns the batch
+#: layer's ``JobError`` into a :class:`CommandError`.
+_VERNACULAR_ERRORS = (
+    TermError,
+    ConfigError,
+    RepairError,
+    TacticError,
+    ParseError,
+    LexError,
+    ScriptError,
+)
 
 
 @dataclass
@@ -131,6 +151,9 @@ class CommandSession:
 
         A failing command reports its 1-based script line number, so an
         error deep in a long vernacular file points at the right line.
+        The repair stack's own errors (see ``_VERNACULAR_ERRORS``)
+        become a :class:`CommandError` naming the line and the error's
+        class; any other exception propagates unchanged.
         """
         results = []
         for lineno, line in enumerate(script.splitlines(), start=1):
@@ -141,6 +164,10 @@ class CommandSession:
                 results.append(self.execute(line))
             except CommandError as exc:
                 raise CommandError(f"line {lineno}: {exc}") from exc
+            except _VERNACULAR_ERRORS as exc:
+                raise CommandError(
+                    f"line {lineno}: {type(exc).__name__}: {exc}"
+                ) from exc
         return results
 
     # -- Individual commands ------------------------------------------------------

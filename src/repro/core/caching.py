@@ -19,10 +19,14 @@ nesting (eliminator cases, long telescopes) the same subterm recurs
 under many syntactically different contexts that agree on the entries it
 uses; pruning makes those lookups hit.  Hash-consed terms (see
 :mod:`repro.kernel.term`) make the keys cheap to hash and compare.
-Key construction itself is memoized per (term, context) identity —
-interned contexts (:meth:`repro.kernel.context.Context.push`) make the
-same subterm under the same binder chain hit without re-running the
-pruning walk, which used to be over half the transformer's cost.
+Key construction itself is memoized per (term, context) identity in
+one process-wide table — interned contexts
+(:meth:`repro.kernel.context.Context.push`) make the same subterm under
+the same binder chain hit without re-running the pruning walk, which
+used to be over half the transformer's cost.  A key is a pure function
+of an arena term and an interned context, so every cache (and every
+job of a warm worker) shares the table; the stored transforms depend on
+the configuration and stay per cache.
 """
 
 from __future__ import annotations
@@ -30,14 +34,41 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from ..kernel import term as _term
 from ..kernel.context import Context
 from ..kernel.stats import KERNEL_STATS
-from ..kernel.term import Term, max_free_rel
+from ..kernel.term import Term, max_free_rel, register_term_cache
 
 _TRANSFORM_COUNTER = KERNEL_STATS.counter("transform_cache")
 
+#: ``(id(term), id(ctx))`` -> ``(term, ctx, key)``: the key memo, shared
+#: by every cache; the value pins the referents of the ids.
+_KEY_MEMO: Dict[Tuple[int, int], Tuple] = register_term_cache({})
 #: Bound on the key memo, mirroring the kernel's `_MEMO_MAX` discipline.
 _KEY_MEMO_MAX = 1 << 20
+
+
+def _build_key(term: Term, ctx: Context) -> Tuple:
+    entries = ctx.entries
+    size = len(entries)
+    k = max_free_rel(term)
+    if size == 0 or k == 0:
+        return ((id(term), ()), (term, ()))
+    if k > size:
+        k = size
+    # Extend to a dependency-closed prefix: the type of entry i lives
+    # under entries i+1.., so its free Rel(j) reaches entry i+1+j.
+    # Integer bounds (cached per node) in a single widening pass are
+    # far cheaper than the exact free-variable closure, and a prefix
+    # containing the closure determines the transform output just the
+    # same — the key is merely a little coarser across contexts.
+    i = 0
+    while i < k:
+        reach = i + 1 + max_free_rel(entries[i][1])
+        if reach > k:
+            k = reach if reach < size else size
+        i += 1
+    return ((id(term), ctx.type_ids()[:k]), (term, ctx))
 
 
 @dataclass
@@ -48,7 +79,6 @@ class TransformCache:
     hits: int = 0
     misses: int = 0
     _store: Dict[Tuple, Tuple] = field(default_factory=dict)
-    _keys: Dict[Tuple, Tuple] = field(default_factory=dict)
 
     def key_for(self, term: Term, ctx: Context) -> Tuple:
         """Cache key for transforming ``term`` under ``ctx``.
@@ -64,40 +94,22 @@ class TransformCache:
         referents: term equality ignores binder display names, so a
         structural key could hand back a transformed term with someone
         else's names.  Hash-consed terms are pointer-identical when
-        names also agree, so identity keys still hit.
+        names also agree, so identity keys still hit.  With the kernel
+        caches off, contexts are not interned, so the key is built
+        directly rather than memoized.
         """
+        if not _term._caches_enabled:
+            return _build_key(term, ctx)
         memo_key = (id(term), id(ctx))
-        entry = self._keys.get(memo_key)
+        entry = _KEY_MEMO.get(memo_key)
         if entry is not None:
             return entry[2]
-        key = self._build_key(term, ctx)
-        if len(self._keys) >= _KEY_MEMO_MAX:
-            self._keys.clear()
+        key = _build_key(term, ctx)
+        if len(_KEY_MEMO) >= _KEY_MEMO_MAX:
+            _KEY_MEMO.clear()
         # Pin the term and context so the ids in the memo key stay valid.
-        self._keys[memo_key] = (term, ctx, key)
+        _KEY_MEMO[memo_key] = (term, ctx, key)
         return key
-
-    def _build_key(self, term: Term, ctx: Context) -> Tuple:
-        entries = ctx.entries
-        size = len(entries)
-        k = max_free_rel(term)
-        if size == 0 or k == 0:
-            return ((id(term), ()), (term, ()))
-        if k > size:
-            k = size
-        # Extend to a dependency-closed prefix: the type of entry i lives
-        # under entries i+1.., so its free Rel(j) reaches entry i+1+j.
-        # Integer bounds (cached per node) in a single widening pass are
-        # far cheaper than the exact free-variable closure, and a prefix
-        # containing the closure determines the transform output just the
-        # same — the key is merely a little coarser across contexts.
-        i = 0
-        while i < k:
-            reach = i + 1 + max_free_rel(entries[i][1])
-            if reach > k:
-                k = reach if reach < size else size
-            i += 1
-        return ((id(term), ctx.type_ids()[:k]), (term, ctx))
 
     def get(self, key: Tuple) -> Optional[Term]:
         if not self.enabled:
@@ -119,7 +131,6 @@ class TransformCache:
 
     def clear(self) -> None:
         self._store.clear()
-        self._keys.clear()
         self.hits = 0
         self.misses = 0
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ...kernel.env import Environment
-from ...obs import span
 from ..config import ConfigError, Configuration
 from .ornaments import ornament_configuration
 from .swap import find_constructor_mappings, swap_configuration
@@ -38,39 +37,41 @@ def configure(
     Tries the search procedures in turn: constructor permutation/renaming
     when both names are compatible inductives, tuples-to-records when the
     target is a record and the source a tuple-type constant, and the
-    ornament configuration for ``list``/``vector``-style pairs.
+    ornament configuration for ``list``/``vector``-style pairs.  Each
+    search procedure opens its own ``configure`` span and this
+    dispatcher opens none, so a configuration records one span whether
+    it is built here or by calling the procedure directly.
     """
-    with span("configure", a=a_name, b=b_name):
-        if env.has_inductive(a_name) and env.has_inductive(b_name):
-            a = env.inductive(a_name)
-            b = env.inductive(b_name)
-            if (
-                a.n_constructors == b.n_constructors
-                and a.n_params == b.n_params
-                and not a.n_indices
-                and not b.n_indices
-            ):
-                try:
-                    return swap_configuration(
-                        env, a_name, b_name, mapping=mapping, prove=prove
-                    )
-                except ConfigError:
-                    pass
-            if a.n_constructors == 2 and b.n_indices == 1 and not a.n_indices:
-                # list-to-vector style ornament.
-                return ornament_configuration(
-                    env, list_name=a_name, vector_name=b_name, prove=prove
+    if env.has_inductive(a_name) and env.has_inductive(b_name):
+        a = env.inductive(a_name)
+        b = env.inductive(b_name)
+        if (
+            a.n_constructors == b.n_constructors
+            and a.n_params == b.n_params
+            and not a.n_indices
+            and not b.n_indices
+        ):
+            try:
+                return swap_configuration(
+                    env, a_name, b_name, mapping=mapping, prove=prove
                 )
-        if env.has_constant(a_name) and env.has_inductive(b_name):
-            b = env.inductive(b_name)
-            if b.n_constructors == 1 and not b.params and not b.indices:
-                return tuples_records_configuration(
-                    env, b_name, tuple_alias=a_name, prove=prove
-                )
-        raise ConfigError(
-            f"no automatic configuration found for {a_name!r} ~= {b_name!r}; "
-            "supply a manual configuration (TermSide) instead"
-        )
+            except ConfigError:
+                pass
+        if a.n_constructors == 2 and b.n_indices == 1 and not a.n_indices:
+            # list-to-vector style ornament.
+            return ornament_configuration(
+                env, list_name=a_name, vector_name=b_name, prove=prove
+            )
+    if env.has_constant(a_name) and env.has_inductive(b_name):
+        b = env.inductive(b_name)
+        if b.n_constructors == 1 and not b.params and not b.indices:
+            return tuples_records_configuration(
+                env, b_name, tuple_alias=a_name, prove=prove
+            )
+    raise ConfigError(
+        f"no automatic configuration found for {a_name!r} ~= {b_name!r}; "
+        "supply a manual configuration (TermSide) instead"
+    )
 
 
 __all__ = [

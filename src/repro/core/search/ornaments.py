@@ -23,6 +23,7 @@ from __future__ import annotations
 
 
 from ...kernel.env import Environment
+from ...obs import span
 from ...syntax.parser import parse
 from ..config import AlignedSide, Configuration, Equivalence, TermSide
 
@@ -34,79 +35,80 @@ def ornament_configuration(
     prove: bool = True,
 ) -> Configuration:
     """The ``list T ~= Sigma (n : nat). vector T n`` configuration."""
-    _ensure_support(env, list_name, vector_name)
-    packed = f"sigT nat (fun (n : nat) => {vector_name} T n)"
+    with span("configure", a=list_name, b=vector_name):
+        _ensure_support(env, list_name, vector_name)
+        packed = f"sigT nat (fun (n : nat) => {vector_name} T n)"
 
-    type_fn = parse(env, f"fun (T : Type1) => {packed}")
-    # DepElim is the paper's Section 6.2.1 term: eliminate the projections,
-    # re-packing the index in the motive.  Its conclusion is ``P (eta s)``,
-    # which is why the configuration also carries a propositional Eta that
-    # the transformation applies to every binder of the packed type.
-    dep_elim = parse(
-        env,
-        f"""
-        fun (T : Type1) (P : {packed} -> Type2)
-            (pnil : P (ornament.dep_constr_0 T))
-            (pcons : forall (t : T) (s : {packed}),
-                       P (ornament.eta T s) ->
-                       P (ornament.dep_constr_1 T t s))
-            (s : {packed}) =>
-          Elim[vector](
-              projT2 nat (fun (n : nat) => {vector_name} T n) s;
-              fun (m : nat) (w : {vector_name} T m) =>
-                P (existT nat (fun (i : nat) => {vector_name} T i) m w))
-            {{ pnil,
-              fun (t : T) (m : nat) (w : {vector_name} T m)
-                  (IH : P (existT nat
-                             (fun (i : nat) => {vector_name} T i) m w)) =>
-                pcons t
-                  (existT nat (fun (i : nat) => {vector_name} T i) m w)
-                  IH }}
-        """,
-    )
-
-    from ...kernel.term import Const, Ind, Lam, Rel, unfold_app
-
-    def match_packed_type(env_, term):
-        """Recognize ``sigT nat (fun n => vector T n)`` and return (T,)."""
-        head, args = unfold_app(term)
-        if not (isinstance(head, Ind) and head.name == "sigT"):
-            return None
-        if len(args) != 2:
-            return None
-        nat_arg, fam = args
-        if nat_arg != Ind("nat") or not isinstance(fam, Lam):
-            return None
-        fhead, fargs = unfold_app(fam.body)
-        if not (isinstance(fhead, Ind) and fhead.name == vector_name):
-            return None
-        if len(fargs) != 2 or fargs[1] != Rel(0):
-            return None
-        elem = fargs[0]
-        from ...kernel.term import free_rels, lift
-
-        if 0 in free_rels(elem):
-            return None
-        return (lift(elem, -1, 0),)
-
-    side_b = TermSide(
-        n_params=1,
-        type_fn=type_fn,
-        dep_constr=(
-            Const("ornament.dep_constr_0"),
-            Const("ornament.dep_constr_1"),
-        ),
-        dep_elim=dep_elim,
-        constr_arities=(0, 2),
-        eta=Const("ornament.eta"),
-        match_type_fn=match_packed_type,
-    )
-    config = Configuration(a=AlignedSide(env, list_name), b=side_b)
-    if prove:
-        config.equivalence = prove_ornament_equivalence(
-            env, list_name, vector_name
+        type_fn = parse(env, f"fun (T : Type1) => {packed}")
+        # DepElim is the paper's Section 6.2.1 term: eliminate the projections,
+        # re-packing the index in the motive.  Its conclusion is ``P (eta s)``,
+        # which is why the configuration also carries a propositional Eta that
+        # the transformation applies to every binder of the packed type.
+        dep_elim = parse(
+            env,
+            f"""
+            fun (T : Type1) (P : {packed} -> Type2)
+                (pnil : P (ornament.dep_constr_0 T))
+                (pcons : forall (t : T) (s : {packed}),
+                           P (ornament.eta T s) ->
+                           P (ornament.dep_constr_1 T t s))
+                (s : {packed}) =>
+              Elim[vector](
+                  projT2 nat (fun (n : nat) => {vector_name} T n) s;
+                  fun (m : nat) (w : {vector_name} T m) =>
+                    P (existT nat (fun (i : nat) => {vector_name} T i) m w))
+                {{ pnil,
+                  fun (t : T) (m : nat) (w : {vector_name} T m)
+                      (IH : P (existT nat
+                                 (fun (i : nat) => {vector_name} T i) m w)) =>
+                    pcons t
+                      (existT nat (fun (i : nat) => {vector_name} T i) m w)
+                      IH }}
+            """,
         )
-    return config
+
+        from ...kernel.term import Const, Ind, Lam, Rel, unfold_app
+
+        def match_packed_type(env_, term):
+            """Recognize ``sigT nat (fun n => vector T n)`` and return (T,)."""
+            head, args = unfold_app(term)
+            if not (isinstance(head, Ind) and head.name == "sigT"):
+                return None
+            if len(args) != 2:
+                return None
+            nat_arg, fam = args
+            if nat_arg != Ind("nat") or not isinstance(fam, Lam):
+                return None
+            fhead, fargs = unfold_app(fam.body)
+            if not (isinstance(fhead, Ind) and fhead.name == vector_name):
+                return None
+            if len(fargs) != 2 or fargs[1] != Rel(0):
+                return None
+            elem = fargs[0]
+            from ...kernel.term import free_rels, lift
+
+            if 0 in free_rels(elem):
+                return None
+            return (lift(elem, -1, 0),)
+
+        side_b = TermSide(
+            n_params=1,
+            type_fn=type_fn,
+            dep_constr=(
+                Const("ornament.dep_constr_0"),
+                Const("ornament.dep_constr_1"),
+            ),
+            dep_elim=dep_elim,
+            constr_arities=(0, 2),
+            eta=Const("ornament.eta"),
+            match_type_fn=match_packed_type,
+        )
+        config = Configuration(a=AlignedSide(env, list_name), b=side_b)
+        if prove:
+            config.equivalence = prove_ornament_equivalence(
+                env, list_name, vector_name
+            )
+        return config
 
 
 def _ensure_support(env: Environment, list_name: str, vector_name: str) -> None:

@@ -34,6 +34,7 @@ from ...kernel.term import (
     mk_pis,
     replace_subterm,
 )
+from ...obs import span
 from ..config import AlignedSide, ConfigError, Configuration, Equivalence
 
 
@@ -204,21 +205,26 @@ def swap_configuration(
     Without an explicit ``mapping``, the most plausible type-correct one
     is used (the first option in the list the tool would present).
     """
-    if mapping is None:
-        try:
-            mapping = next(iter(find_constructor_mappings(env, a_name, b_name)))
-        except StopIteration:
-            raise ConfigError(
-                f"no type-correct constructor mapping between {a_name!r} "
-                f"and {b_name!r}"
-            ) from None
-    config = Configuration(
-        a=AlignedSide(env, a_name),
-        b=AlignedSide(env, b_name, perm=tuple(mapping)),
-    )
-    if prove:
-        config.equivalence = prove_swap_equivalence(env, a_name, b_name, mapping)
-    return config
+    with span("configure", a=a_name, b=b_name):
+        if mapping is None:
+            try:
+                mapping = next(
+                    iter(find_constructor_mappings(env, a_name, b_name))
+                )
+            except StopIteration:
+                raise ConfigError(
+                    f"no type-correct constructor mapping between {a_name!r} "
+                    f"and {b_name!r}"
+                ) from None
+        config = Configuration(
+            a=AlignedSide(env, a_name),
+            b=AlignedSide(env, b_name, perm=tuple(mapping)),
+        )
+        if prove:
+            config.equivalence = prove_swap_equivalence(
+                env, a_name, b_name, mapping
+            )
+        return config
 
 
 def build_map_function(

@@ -37,6 +37,7 @@ from ...kernel.term import (
     mk_lams,
     unfold_app,
 )
+from ...obs import span
 from ..config import Configuration, ElimMatch, Equivalence, Side
 
 
@@ -404,12 +405,15 @@ def tuples_records_configuration(
     ``tuple_alias`` names a constant definition of the tuple type, it is
     recognized and replaced as well.
     """
-    record = RecordSide(env, record_name)
-    tup = TupleSide(env, record.field_types, alias=tuple_alias)
-    config = Configuration(a=tup, b=record)
-    if prove:
-        config.equivalence = prove_tuple_record_equivalence(env, tup, record)
-    return config
+    with span("configure", a=tuple_alias, b=record_name):
+        record = RecordSide(env, record_name)
+        tup = TupleSide(env, record.field_types, alias=tuple_alias)
+        config = Configuration(a=tup, b=record)
+        if prove:
+            config.equivalence = prove_tuple_record_equivalence(
+                env, tup, record
+            )
+        return config
 
 
 def prove_tuple_record_equivalence(

@@ -22,14 +22,14 @@ arena: an explicit-stack post-order driver whose depth is heap-bounded,
 which consults the :class:`~repro.core.caching.TransformCache` exactly
 once per (term, pruned-context) pair, skips unification heuristics whose
 head-class hints rule them out, fuses the binder eta-expansion walk into
-the pass via :func:`~repro.kernel.term._transform_rels` (per-node memo,
-no Python-stack recursion), and reuses untouched subtrees by object
-identity so downstream kernel caches stay hot.
+the pass via :func:`~repro.kernel.term._transform_rels` (a process-wide
+per-node memo, no Python-stack recursion), and reuses untouched subtrees
+by object identity so downstream kernel caches stay hot.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..kernel import term as _term
 from ..kernel.context import Context
@@ -54,6 +54,7 @@ from ..kernel.term import (
     lift,
     max_free_rel,
     mk_app,
+    register_term_cache,
 )
 from ..analysis.gate import rule_gate
 from .caching import TransformCache
@@ -65,6 +66,10 @@ class TransformError(TermError):
 
 
 _ETA_COUNTER = KERNEL_STATS.counter("eta_expand")
+#: Fused binder eta-expansion, per node, shared by every transformer:
+#: ``(id(node), ids of (eta, *params), cut)`` -> pinned referents and
+#: the result (see :meth:`Transformer._eta_expand_binder`).
+_ETA_MEMO: Dict[tuple, tuple] = register_term_cache({})
 
 _VISIT, _BUILD = 0, 1
 
@@ -187,9 +192,6 @@ class Transformer:
         self._skip_names: Optional[frozenset] = (
             frozenset(names) if names is not None else None
         )
-        # Fused eta-expansion memos, one per (Eta, params) instance; the
-        # pinned (eta, params) tuple keeps the ids in live memo keys valid.
-        self._eta_memos: Dict[Tuple, Tuple] = {}
 
     # -- Public API -----------------------------------------------------------
 
@@ -489,9 +491,11 @@ class Transformer:
 
         Runs on the shared explicit-stack rebuilder: heap-bounded on deep
         bodies, short-circuits subtrees that cannot contain the bound
-        variable, reuses untouched nodes, and memoizes per (node, cutoff)
-        under the (Eta, params) pair, so nested binders are not
-        re-walked.
+        variable, reuses untouched nodes, and memoizes per node in one
+        process-wide table keyed by ``(id(node), ids of (eta, *params),
+        cut)``, so nested binders are not re-walked.  An entry is a pure
+        function of arena terms, so every transformer shares the table
+        and a warm worker's next job hits what the last one stored.
         """
         b = None
         params = None
@@ -520,11 +524,9 @@ class Transformer:
 
         if not _term._caches_enabled:
             return _transform_rels(body, 0, on_rel)
-        memo_key = (id(eta),) + tuple(id(p) for p in params)
-        entry = self._eta_memos.get(memo_key)
-        if entry is None:
-            entry = self._eta_memos[memo_key] = ((eta, params), {})
-        return _transform_rels(body, 0, on_rel, entry[1], None, _ETA_COUNTER)
+        return _transform_rels(
+            body, 0, on_rel, _ETA_MEMO, (eta, *params), _ETA_COUNTER
+        )
 
     def _gated(self, rule: str, result: Term, ctx: Context) -> Term:
         """Scope-check a rule's output under ``REPRO_ANALYZE=1``.

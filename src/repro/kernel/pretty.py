@@ -5,12 +5,18 @@ fragment; eliminators print as ``Elim[ind](scrut; motive){case, ...}``
 which the parser also accepts.  When an environment is supplied,
 constructors print by name (``S``, ``cons``) when the name is globally
 unambiguous, and as ``ind#j`` otherwise.
+
+Without a context or an environment a rendering depends on the term
+alone, so it is memoized by the term's identity in one process-wide
+table (the value pins the term).  Identity keys are name-faithful:
+interning keys include binder names, while term equality ignores them.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from . import term as _term
 from .context import Context
 from .term import (
     App,
@@ -24,6 +30,7 @@ from .term import (
     Sort,
     Term,
     occurs_rel,
+    register_term_cache,
     unfold_app,
 )
 
@@ -33,11 +40,25 @@ _ARROW = 2
 _BINDER = 3
 
 
+#: ``id(term)`` -> ``(term, text)`` for renderings without names or
+#: an environment; cleared wholesale at the cap.
+_TEXT_MEMO: Dict[int, Tuple[Term, str]] = register_term_cache({})
+_TEXT_MEMO_MAX = 1 << 16
+
+
 def pretty(term: Term, ctx: Optional[Context] = None, env=None) -> str:
     """Render ``term`` using names from ``ctx`` for free variables."""
-    names = [name for name, _ in (ctx.entries if ctx else ())]
-    printer = _Printer(env)
-    return printer.pp(term, names, _BINDER)
+    if ctx or env is not None or not _term._caches_enabled:
+        names = [name for name, _ in (ctx.entries if ctx else ())]
+        return _Printer(env).pp(term, names, _BINDER)
+    entry = _TEXT_MEMO.get(id(term))
+    if entry is not None:
+        return entry[1]
+    text = _Printer(None).pp(term, [], _BINDER)
+    if len(_TEXT_MEMO) >= _TEXT_MEMO_MAX:
+        _TEXT_MEMO.clear()
+    _TEXT_MEMO[id(term)] = (term, text)
+    return text
 
 
 class _Printer:

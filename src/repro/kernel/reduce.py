@@ -16,8 +16,8 @@ allocates nothing.
 
 Beta steps substitute.  A head ``Lam`` spine applied to several
 arguments is contracted by :func:`beta_spine` with one parallel
-:func:`~repro.kernel.term.subst_many` pass; a single binder goes through
-the memoized :func:`~repro.kernel.term.subst`.
+:func:`~repro.kernel.term.subst_many` pass (memoized per call); a single
+binder goes through the memoized :func:`~repro.kernel.term.subst`.
 
 Cache keys for ``App``/``Elim``/``Const`` inputs are *shallow
 structural* — class tag plus child identities — so structurally equal
@@ -141,9 +141,11 @@ def beta_spine(lam: Lam, args: Sequence[Term]) -> Tuple[Term, int]:
 
     A spine of binders is contracted with one parallel ``subst_many``,
     which equals the sequential beta steps because each argument lives
-    outside every contracted binder, and which stores no ``subst`` memo
-    entries for the intermediate bodies (the bulk of that table's growth
-    when binders are contracted one at a time).  A single binder keeps
+    outside every contracted binder.  ``subst_many`` memoizes per call
+    (one entry for the body and its arguments) rather than per node, so
+    the intermediate bodies of the steps store no ``subst`` entries (the
+    bulk of that table's growth when binders are contracted one at a
+    time), while a repeated step is one lookup.  A single binder keeps
     the memoized ``subst``.
     """
     body = lam.body

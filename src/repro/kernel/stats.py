@@ -86,7 +86,8 @@ class KernelStats:
     * ``intern_hits`` — constructions answered with an existing node
       (structural sharing won);
     * one :class:`CacheCounter` per memo table, created on demand:
-      ``lift``, ``subst``, ``free_rels`` (de Bruijn ops), ``whnf``,
+      ``lift``, ``subst``, ``free_rels`` (de Bruijn ops), ``subst_many``
+      (whole parallel substitutions, one per beta spine), ``whnf``,
       ``nf`` (reduction cache), ``conv`` (conversion), ``infer``
       (type inference), ``check`` (bidirectional verdict memo),
       ``transform_cache`` (the Figure-10 transformer's subterm cache),

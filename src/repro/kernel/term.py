@@ -35,8 +35,8 @@ Performance architecture (see DESIGN.md, "Performance architecture"):
   library terms — without walking them.
 * **Memoized de Bruijn ops.**  ``lift`` and ``subst`` memoize per-node
   results in global tables keyed by ``(node, parameters)``; hash-consing
-  makes those keys cheap and hit rates high.  ``free_rels`` memoizes
-  whole-call results.
+  makes those keys cheap and hit rates high.  ``subst_many`` and
+  ``free_rels`` memoize whole-call results.
 * **Explicit-stack traversal.**  The hot walks (``lift``, ``subst``,
   ``free_rels``, ``max_free_rel``) use an explicit stack, so terms
   thousands of binders deep do not hit Python's recursion limit.
@@ -114,6 +114,7 @@ def clear_term_caches() -> None:
     _INTERN.clear()
     _LIFT_MEMO.clear()
     _SUBST_MEMO.clear()
+    _SUBST_MANY_MEMO.clear()
     _FREE_MEMO.clear()
     for cache in _EXTRA_CACHES:
         cache.clear()
@@ -596,11 +597,13 @@ def unfold_lams(term: Term) -> Tuple[Tuple[Tuple[str, Term], ...], Term]:
 
 _LIFT_MEMO: Dict[tuple, Term] = {}
 _SUBST_MEMO: Dict[tuple, Term] = {}
+_SUBST_MANY_MEMO: Dict[tuple, tuple] = {}
 _FREE_MEMO: Dict[tuple, frozenset] = {}
 _MEMO_MAX = 1 << 20
 
 _LIFT_COUNTER = KERNEL_STATS.counter("lift")
 _SUBST_COUNTER = KERNEL_STATS.counter("subst")
+_SUBST_MANY_COUNTER = KERNEL_STATS.counter("subst_many")
 _FREE_COUNTER = KERNEL_STATS.counter("free_rels")
 
 _VISIT, _BUILD = 0, 1
@@ -623,12 +626,18 @@ def _transform_rels(
     per-node results under ``(id(node), extra, cut)`` — object identity
     rather than equality, because equality ignores binder display names
     and a structural key could hand an equal-but-differently-named
-    result back, silently renaming the caller's binders.  Hash consing
-    makes equal same-named terms pointer-identical, so identity keys
-    still hit; the value pins the node (and a term-valued ``extra``) so
-    ids are never recycled while the entry lives.
+    result back, silently renaming the caller's binders.  A term-valued
+    ``extra`` keys by its id and a tuple of terms by theirs.  Hash
+    consing makes equal same-named terms pointer-identical, so identity
+    keys still hit; the value pins the node and ``extra`` so ids are
+    never recycled while the entry lives.
     """
-    extra_key = id(extra) if isinstance(extra, Term) else extra
+    if isinstance(extra, Term):
+        extra_key = id(extra)
+    elif isinstance(extra, tuple):
+        extra_key = tuple(map(id, extra))
+    else:
+        extra_key = extra
     stack = [(_VISIT, term, cutoff)]
     results: list = []
     while stack:
@@ -760,6 +769,12 @@ def subst_many(term: Term, replacements: Sequence[Term]) -> Term:
     mentions a ``Rel`` is never itself rewritten by a later substitution
     (one-pass parallel substitution, unlike a sequential fold of
     :func:`subst`).
+
+    Memoized per call, not per node: one global entry maps the ids of
+    ``term`` and every replacement to the result (pinning all three),
+    so a repeated beta step costs one lookup.  A miss walks the term
+    without a per-node memo, so no per-node entry outlives the call
+    (see DESIGN.md, "Memo retention and the spine rule").
     """
     replacements = tuple(replacements)
     if not replacements:
@@ -774,7 +789,19 @@ def subst_many(term: Term, replacements: Sequence[Term]) -> Term:
             return lift(replacements[j], cut)
         return Rel(i - count)
 
-    return _transform_rels(term, 0, on_rel)
+    if not _caches_enabled:
+        return _transform_rels(term, 0, on_rel)
+    key = (id(term), *map(id, replacements))
+    entry = _SUBST_MANY_MEMO.get(key)
+    if entry is not None:
+        _SUBST_MANY_COUNTER.hits += 1
+        return entry[2]
+    _SUBST_MANY_COUNTER.misses += 1
+    out = _transform_rels(term, 0, on_rel)
+    if len(_SUBST_MANY_MEMO) >= _MEMO_MAX:
+        _SUBST_MANY_MEMO.clear()
+    _SUBST_MANY_MEMO[key] = (term, replacements, out)
+    return out
 
 
 def free_rels(term: Term, cutoff: int = 0) -> frozenset:

@@ -8,6 +8,7 @@ terms — no axioms.
 from __future__ import annotations
 
 from ..kernel.env import Environment
+from ..obs import span
 from .binlib import declare_binary
 from .bitvec import declare_bitvec
 from .listlib import declare_list, declare_list_type
@@ -24,20 +25,21 @@ def make_env(
     bitvectors: bool = False,
 ) -> Environment:
     """Build an environment with the prelude and the selected modules."""
-    env = Environment()
-    declare_prelude(env)
-    declare_nat(env)
-    if lists:
-        declare_list(env)
-    if vectors:
-        declare_vector(env)
-    if binary or bitvectors:
-        declare_binary(env)
-    if bitvectors:
-        if not vectors:
-            raise ValueError("bitvectors require vectors")
-        declare_bitvec(env)
-    return env
+    with span("make_env"):
+        env = Environment()
+        declare_prelude(env)
+        declare_nat(env)
+        if lists:
+            declare_list(env)
+        if vectors:
+            declare_vector(env)
+        if binary or bitvectors:
+            declare_binary(env)
+        if bitvectors:
+            if not vectors:
+                raise ValueError("bitvectors require vectors")
+            declare_bitvec(env)
+        return env
 
 
 __all__ = [

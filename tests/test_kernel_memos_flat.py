@@ -10,12 +10,21 @@ the objects instead (``InductiveDecl.case_types``).
 Server sessions fork one resident base environment per setup, so every
 session shares the base's declarations and their ``case_types`` memos:
 those must stay flat over repeated sessions too.
+
+A warm pool worker serves job after job on one resident environment.
+Its pure term walks (``subst_many``, binder eta expansion, transform
+keys, closed ``pretty``) memoize into process-global tables, which must
+stop growing once every job has run.
 """
 
+import importlib
+
 from repro.commands import CommandSession
+from repro.core import caching, transform
 from repro.kernel import term
 from repro.server.sessions import DEFAULT_SETUP, SessionManager
-from repro.service.worker import build_environment
+from repro.service.cases import six_case_jobs
+from repro.service.worker import build_environment, execute_warm
 
 
 SESSION_SCRIPT = (
@@ -29,6 +38,20 @@ def _session_round():
     CommandSession(build_environment(DEFAULT_SETUP)).run(SESSION_SCRIPT)
 
 
+#: ``repro.kernel`` re-exports the function under the module's name.
+pretty_module = importlib.import_module("repro.kernel.pretty")
+
+
+def _walk_tables():
+    """The process-global tables of the four memoized pure term walks."""
+    return {
+        "subst_many": term._SUBST_MANY_MEMO,
+        "eta_expand": transform._ETA_MEMO,
+        "transform_keys": caching._KEY_MEMO,
+        "pretty": pretty_module._TEXT_MEMO,
+    }
+
+
 def _memo_sizes():
     sizes = {
         "intern": len(term._INTERN),
@@ -36,9 +59,17 @@ def _memo_sizes():
         "subst": len(term._SUBST_MEMO),
         "free_rels": len(term._FREE_MEMO),
     }
+    for name, table in _walk_tables().items():
+        sizes[name] = len(table)
     for index, cache in enumerate(term._EXTRA_CACHES):
         sizes[f"registered[{index}]"] = len(cache)
     return sizes
+
+
+def _warm_pass(residents):
+    """The eight six-case jobs, once, on one resident table."""
+    for job in six_case_jobs():
+        assert execute_warm(residents, job.payload())["status"] == "ok"
 
 
 def test_environment_builds_leave_memos_flat(kernel_caches_on):
@@ -73,3 +104,28 @@ def test_sessions_forking_one_base_leave_memos_flat(
         managed_round(i)
     assert (_memo_sizes(), case_type_sizes()) == before
     assert session_builds == [DEFAULT_SETUP]
+
+
+def test_warm_worker_jobs_leave_memos_flat(kernel_caches_on):
+    residents = {}
+    for _ in range(2):
+        _warm_pass(residents)
+    before = _memo_sizes()
+    assert all(before[name] for name in _walk_tables())
+    for _ in range(4):
+        _warm_pass(residents)
+    assert _memo_sizes() == before
+
+
+def test_clear_term_caches_empties_the_walk_tables(kernel_caches_on):
+    _warm_pass({})
+    assert all(_walk_tables().values())
+    term.clear_term_caches()
+    assert not any(_walk_tables().values())
+
+
+def test_walk_tables_store_nothing_with_caches_off(no_kernel_caches):
+    before = {name: len(table) for name, table in _walk_tables().items()}
+    _warm_pass({})
+    after = {name: len(table) for name, table in _walk_tables().items()}
+    assert after == before

@@ -17,6 +17,7 @@ The hard guarantees under test:
 import json
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -166,7 +167,8 @@ def test_counter_deltas_attributed_to_the_span_that_worked(traced):
         nf(env, App(Lam("x", Sort(1), Rel(0)), Ind("nat")))
     with span("idle"):
         pass
-    busy, idle = traced.roots
+    # make_env recorded the first root span.
+    busy, idle = traced.roots[1:]
     if not CACHES_DISABLED_BY_ENV:
         # The counters record cache traffic, so they only move when the
         # cache layers are on.
@@ -336,6 +338,31 @@ def test_phase_summary_aggregates(traced):
     # summarize_spans on a subtree matches the flat view for that span.
     sub = summarize_spans(get_tracer().roots[:1])
     assert sub["transform"]["count"] == 1
+
+
+def _span_counts(tracer):
+    return Counter(sp.name for sp in tracer.spans)
+
+
+def test_every_configuration_and_stdlib_build_opens_a_span(traced):
+    from repro.cases.replica import run_scenario
+
+    run_scenario()
+    counts = _span_counts(traced)
+    # Five variants, each configured by calling swap_configuration
+    # directly, over one stdlib build.
+    assert counts["configure"] == 5
+    assert counts["make_env"] == 1
+
+
+def test_the_configure_dispatcher_opens_no_second_span(traced):
+    from repro.core.search import configure
+
+    env = make_env()
+    _declare_swapped_list(env)
+    reset_tracer()
+    configure(env, "list", "New.list")
+    assert _span_counts(get_tracer()) == {"configure": 1}
 
 
 # -- Term gauges ---------------------------------------------------------------

@@ -504,6 +504,52 @@ class TestRepairApp:
         assert call(app, "DELETE", "/v1/sessions/demo").status == 200
         assert call(app, "GET", "/v1/sessions/demo").status == 404
 
+    @pytest.mark.parametrize(
+        "script, line, error",
+        [
+            ("Decompile nosuch.", 1, "EnvError: unknown constant 'nosuch'"),
+            (
+                "Remove list.\nRepair list New.list in rev_app_distr.",
+                2,
+                "ConfigError: no automatic configuration found",
+            ),
+            ("Replay nosuch.", 1, "EnvError: unknown constant 'nosuch'"),
+            ("Analyze nosuch.", 1, "EnvError: unknown constant 'nosuch'"),
+        ],
+        ids=("decompile", "configure", "replay", "analyze"),
+    )
+    def test_vernacular_errors_are_422_and_session_survives(
+        self, app, script, line, error
+    ):
+        assert call(app, "POST", "/v1/sessions", {"name": "demo"}).status == 201
+        path = "/v1/sessions/demo/command"
+        resp = call(app, "POST", path, {"script": script})
+        assert resp.status == 422
+        assert resp.payload["error"]["code"] == "command-error"
+        assert resp.payload["error"]["detail"].startswith(
+            f"line {line}: {error}"
+        )
+        resp = call(app, "POST", path, {"script": "Decompile rev_app_distr."})
+        assert resp.status == 200
+        assert resp.payload["results"][0]["text"]
+
+    def test_other_session_failures_stay_500(self, app, monkeypatch):
+        assert call(app, "POST", "/v1/sessions", {"name": "demo"}).status == 201
+        session = app.sessions._live("demo").session
+
+        def broken(words, command):
+            raise RuntimeError("not a vernacular error")
+
+        monkeypatch.setattr(session, "_decompile", broken)
+        resp = call(
+            app,
+            "POST",
+            "/v1/sessions/demo/command",
+            {"script": "Decompile rev_app_distr."},
+        )
+        assert resp.status == 500
+        assert resp.payload["error"]["code"] == "internal-error"
+
     def test_rate_limit_spares_health_endpoints(self, tmp_path):
         config = ServerConfig(
             workers=1,
