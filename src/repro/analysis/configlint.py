@@ -13,7 +13,8 @@ pass reports *all* of them, as data, without raising:
 * constructor permutations are genuine permutations (RA208);
 * an attached equivalence's ``f``/``g`` type check (RA207) and its
   ``section``/``retraction`` proofs conclude with the roundtrip
-  equality of Figure 3 (RA206).
+  equality of Figure 3, ``g (f x) = x`` and ``f (g x) = x`` up to
+  conversion (RA206).
 
 Sides are inspected structurally (``perm``, ``iota_names``,
 ``type_fn``, ...), so the pass works on any :class:`Side` subclass —
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..kernel.context import Context
 from ..kernel.env import Environment
-from ..kernel.term import Ind, Rel, Term, TermError, unfold_app, unfold_pis
+from ..kernel.term import Term, TermError
 from ..kernel.typecheck import infer
 from .diagnostics import Diagnostic, Severity
 from .scope import check_term
@@ -190,10 +191,9 @@ def _lint_equivalence(
                     (name,),
                 )
             )
-    for name, proof in (
-        ("section", eqv.section),
-        ("retraction", eqv.retraction),
-    ):
+    from ..core.config import roundtrip_mismatch
+
+    for name, proof, fwd, bwd in eqv.roundtrips():
         if proof is None:
             continue
         if check_term(env, proof, subject=subject, path=(name,)):
@@ -219,28 +219,10 @@ def _lint_equivalence(
                 )
             )
             continue
-        _binders, conclusion = unfold_pis(ty)
-        head, args = unfold_app(conclusion)
-        if not (
-            isinstance(head, Ind) and head.name == "eq" and len(args) == 3
-        ):
+        problem = roundtrip_mismatch(env, ty, fwd, bwd)
+        if problem is not None:
             out.append(
-                _error(
-                    "RA206",
-                    f"{name} proof does not conclude with an equality",
-                    subject,
-                    (name,),
-                )
-            )
-        elif args[2] != Rel(0):
-            out.append(
-                _error(
-                    "RA206",
-                    f"{name} proof does not conclude at the roundtrip "
-                    "argument itself",
-                    subject,
-                    (name,),
-                )
+                _error("RA206", f"{name} proof {problem}", subject, (name,))
             )
     return out
 

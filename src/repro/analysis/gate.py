@@ -19,20 +19,22 @@ When on:
 
 Both hooks record their wall time through the tracer (span
 ``"analyze"``), so benchmark reports pick the analysis cost up as a
-phase.
+phase.  The passes themselves are imported only once a gate is on: the
+repair pipeline imports this module, and with the gate off it loads no
+pass.
 """
 
 from __future__ import annotations
 
 import os
-from typing import AbstractSet, Iterable, List, Optional
+from typing import TYPE_CHECKING, AbstractSet, Iterable, List, Optional
 
 from ..kernel.env import Environment
 from ..kernel.term import Term, TermError
 from ..obs import span
-from .diagnostics import Diagnostic
-from .residual import find_residuals
-from .scope import check_term
+
+if TYPE_CHECKING:
+    from .diagnostics import Diagnostic
 
 ANALYZE_ENV_VAR = "REPRO_ANALYZE"
 
@@ -88,6 +90,8 @@ def rule_gate(
     """Scope-check one rule's output (``depth`` enclosing binders)."""
     if not _enabled:
         return
+    from .scope import check_term
+
     with span("analyze", rule=rule):
         diagnostics = check_term(
             env, term, depth=depth, subject=f"rule {rule}"
@@ -110,6 +114,9 @@ def repair_gate(
     """Scope- and residual-check one repaired (closed) term."""
     if not _enabled:
         return
+    from .residual import find_residuals
+    from .scope import check_term
+
     with span("analyze", subject=subject):
         diagnostics = check_term(env, term, subject=subject)
         diagnostics.extend(

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..kernel.context import Context
+from ..kernel.convert import conv
 from ..kernel.env import Environment
 from ..kernel.reduce import beta_reduce, beta_spine, whnf
 from ..kernel.term import (
@@ -44,9 +45,11 @@ from ..kernel.term import (
     Elim,
     Ind,
     Lam,
+    Rel,
     Term,
     mk_app,
     unfold_app,
+    unfold_pis,
 )
 from ..kernel.typecheck import infer
 
@@ -413,6 +416,37 @@ class Equivalence:
     section: Optional[Term] = None
     retraction: Optional[Term] = None
 
+    def roundtrips(self) -> Tuple[Tuple[str, Optional[Term], Term, Term], ...]:
+        """``(label, proof, fwd, bwd)``: the section proves ``g . f = id``,
+        the retraction ``f . g = id``."""
+        return (
+            ("section", self.section, self.f, self.g),
+            ("retraction", self.retraction, self.g, self.f),
+        )
+
+
+def roundtrip_mismatch(
+    env: Environment, proof_type: Term, fwd: Term, bwd: Term
+) -> Optional[str]:
+    """Why ``proof_type`` does not state the roundtrip ``bwd . fwd = id``.
+
+    The statement must read ``forall ps x, eq _ (bwd ps (fwd ps x)) x``,
+    where ``ps`` are the binders before ``x``, with the left side up to
+    conversion.  Returns ``None`` when it does, else the reason, phrased
+    to follow "<label> proof".
+    """
+    binders, conclusion = unfold_pis(proof_type)
+    head, args = unfold_app(conclusion)
+    if not (isinstance(head, Ind) and head.name == "eq" and len(args) == 3):
+        return "does not conclude with an equality"
+    if not binders or args[2] != Rel(0):
+        return "does not conclude at the roundtrip argument itself"
+    ps = tuple(Rel(len(binders) - 1 - m) for m in range(len(binders) - 1))
+    roundtrip = mk_app(bwd, ps + (mk_app(fwd, ps + (Rel(0),)),))
+    if not conv(env, args[1], roundtrip):
+        return "does not equate the roundtrip with the argument"
+    return None
+
 
 @dataclass
 class Configuration:
@@ -445,12 +479,9 @@ class Configuration:
         * when an equivalence is attached, ``f``/``g`` and the
           ``section``/``retraction`` proofs type check and the roundtrip
           statements have the expected shapes (an ``eq`` whose sides are
-          the roundtrip and the identity).
+          the roundtrip and the identity, see
+          :func:`roundtrip_mismatch`).
         """
-        from ..kernel.context import Context
-        from ..kernel.typecheck import infer
-        from ..kernel.term import Pi, unfold_pis
-
         for j in range(self.a.n_constrs):
             if self.a.constr_arity(j) != self.b.constr_arity(j):
                 raise ConfigError(
@@ -462,23 +493,13 @@ class Configuration:
         eqv = self.equivalence
         infer(env, Context.empty(), eqv.f)
         infer(env, Context.empty(), eqv.g)
-        for label, proof in (("section", eqv.section), ("retraction", eqv.retraction)):
+        for label, proof, fwd, bwd in eqv.roundtrips():
             if proof is None:
                 continue
             ty = infer(env, Context.empty(), proof)
-            _binders, conclusion = unfold_pis(ty)
-            head, args = unfold_app(conclusion)
-            if not (isinstance(head, Ind) and head.name == "eq" and len(args) == 3):
-                raise ConfigError(
-                    f"{label} proof does not conclude with an equality"
-                )
-            from ..kernel.term import Rel as _Rel
-
-            if args[2] != _Rel(0):
-                raise ConfigError(
-                    f"{label} proof does not conclude at the roundtrip "
-                    "argument itself"
-                )
+            problem = roundtrip_mismatch(env, ty, fwd, bwd)
+            if problem is not None:
+                raise ConfigError(f"{label} proof {problem}")
 
     def reversed(self) -> "Configuration":
         """The configuration for the opposite direction ``B ~= A``."""

@@ -10,19 +10,33 @@ The four procedures of Section 3.3:
 4. :mod:`~repro.core.search.unpack` — unpacking to a particular index.
 
 :func:`configure` dispatches between them from just the two type names,
-as the ``Repair`` command does.
+as the ``Repair`` command does.  It imports a procedure only when it
+tries it, and the re-exported names are resolved on first use
+(:mod:`repro._lazy`), so a case study loads only the procedure it runs.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
+from ..._lazy import lazy_exports
 from ...kernel.env import Environment
 from ..config import ConfigError, Configuration
-from .ornaments import ornament_configuration
-from .swap import find_constructor_mappings, swap_configuration
-from .tuples_records import tuples_records_configuration
-from .unpack import declare_unpack_support
+
+if TYPE_CHECKING:
+    from .ornaments import ornament_configuration
+    from .swap import find_constructor_mappings, swap_configuration
+    from .tuples_records import tuples_records_configuration
+    from .unpack import declare_unpack_support
+
+_EXPORTS: Dict[str, Tuple[str, ...]] = {
+    ".ornaments": ("ornament_configuration",),
+    ".swap": ("find_constructor_mappings", "swap_configuration"),
+    ".tuples_records": ("tuples_records_configuration",),
+    ".unpack": ("declare_unpack_support",),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 
 def configure(
@@ -51,21 +65,27 @@ def configure(
             and not a.n_indices
             and not b.n_indices
         ):
+            from . import swap
+
             try:
-                return swap_configuration(
+                return swap.swap_configuration(
                     env, a_name, b_name, mapping=mapping, prove=prove
                 )
             except ConfigError:
                 pass
         if a.n_constructors == 2 and b.n_indices == 1 and not a.n_indices:
             # list-to-vector style ornament.
-            return ornament_configuration(
+            from . import ornaments
+
+            return ornaments.ornament_configuration(
                 env, list_name=a_name, vector_name=b_name, prove=prove
             )
     if env.has_constant(a_name) and env.has_inductive(b_name):
         b = env.inductive(b_name)
         if b.n_constructors == 1 and not b.params and not b.indices:
-            return tuples_records_configuration(
+            from . import tuples_records
+
+            return tuples_records.tuples_records_configuration(
                 env, b_name, tuple_alias=a_name, prove=prove
             )
     raise ConfigError(

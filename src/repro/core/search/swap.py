@@ -10,9 +10,12 @@ constructors up to a bijection, this module
   lazy enumeration is what makes the latter feasible),
 * builds the :class:`~repro.core.config.Configuration` of Figure 8 for a
   chosen mapping, and
-* generates and *proves* the equivalence of Figure 3 (``swap``,
-  ``swap^-1``, ``section``, ``retraction``) — the ``Configure``
-  component's equivalence.ml.
+* generates the equivalence of Figure 3 (``swap``, ``swap^-1``,
+  ``section``, ``retraction``) — the ``Configure`` component's
+  equivalence.ml.  The roundtrip proofs have the fixed shape of
+  Section 4.3, so they are built as terms and checked once by the
+  kernel; ``tests/test_search_swap.py`` keeps the induct/rewrite/
+  reflexivity tactic script as the oracle they must agree with.
 """
 
 from __future__ import annotations
@@ -20,9 +23,11 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ...kernel.context import Context
 from ...kernel.env import Environment
-from ...kernel.inductive import InductiveDecl, analyze_recursive_args
+from ...kernel.inductive import InductiveDecl, analyze_recursive_args, case_type
 from ...kernel.term import (
+    Const,
     Constr,
     Elim,
     Ind,
@@ -34,6 +39,7 @@ from ...kernel.term import (
     mk_pis,
     replace_subterm,
 )
+from ...kernel.typecheck import check, typecheck_closed
 from ...obs import span
 from ..config import AlignedSide, ConfigError, Configuration, Equivalence
 
@@ -239,8 +245,6 @@ def build_map_function(
     constructor of ``B`` and the induction hypotheses in recursive
     positions.
     """
-    from ...kernel.inductive import case_type
-
     a = env.inductive(a_name)
     np = a.n_params
 
@@ -288,82 +292,180 @@ def build_map_function(
     return mk_lams(list(a.params) + [("x", a_at(0))], body)
 
 
+def roundtrip_statement(
+    env: Environment, src: str, fwd: Term, bwd: Term
+) -> Term:
+    """``Pi params (x : src params), eq (src params) (bwd ps (fwd ps x)) x``.
+
+    The section of Figure 3 is the statement for ``(A, f, g)`` and the
+    retraction the one for ``(B, g, f)``.
+    """
+    decl = env.inductive(src)
+    np = decl.n_params
+    params = tuple(Rel(np - m) for m in range(np))  # under params..., x
+    src_ty = mk_app(Ind(src), tuple(Rel(np - 1 - m) for m in range(np)))
+    x = Rel(0)
+    applied = mk_app(bwd, params + (mk_app(fwd, params + (x,)),))
+    return mk_pis(
+        list(decl.params) + [("x", src_ty)],
+        mk_app(Ind("eq"), (mk_app(Ind(src), params), applied, x)),
+    )
+
+
+def roundtrip_proof(env: Environment, src: str, fwd: Term, bwd: Term) -> Term:
+    """The Section 4.3 proof of :func:`roundtrip_statement`, as a term.
+
+    ``fun params x => Elim[src](x; fun x => eq (src ps) (bwd ps (fwd ps
+    x)) x) { case_j }``.  Each case binds the constructor's arguments and
+    induction hypotheses as :func:`~repro.kernel.inductive.case_type`
+    lays them out, and proves ``eq (src ps) (bwd ps (fwd ps (c_j ps
+    args))) (c_j ps args)``: the roundtrip of a constructor computes to
+    the constructor applied to the roundtrips of its recursive
+    arguments, so one ``eq_ind`` per recursive argument ``a`` rewrites
+    ``bwd ps (fwd ps a)`` to ``a`` along ``eq_sym`` of its hypothesis,
+    and ``eq_refl`` closes the case.  The first recursive argument's
+    ``eq_ind`` is outermost and each motive keeps the later roundtrips
+    folded, which is the term the induct/rewrite/reflexivity script of
+    the paper leaves, up to conversion.  The result is not checked here.
+    """
+    decl = env.inductive(src)
+    np = decl.n_params
+
+    def params_at(depth: int) -> Tuple[Term, ...]:
+        """Parameter variables under ``depth`` binders beyond the params."""
+        return tuple(Rel(depth + np - 1 - m) for m in range(np))
+
+    def roundtrip(ps: Tuple[Term, ...], arg: Term) -> Term:
+        return mk_app(bwd, ps + (mk_app(fwd, ps + (arg,)),))
+
+    def equality(carrier: Term, lhs: Term, rhs: Term) -> Term:
+        return mk_app(Ind("eq"), (carrier, lhs, rhs))
+
+    # The eliminator sits under the binders [params..., x], i.e. depth 1.
+    motive = Lam(
+        "x",
+        mk_app(Ind(src), params_at(1)),
+        equality(
+            mk_app(Ind(src), params_at(2)),
+            roundtrip(params_at(2), Rel(0)),
+            Rel(0),
+        ),
+    )
+    cases: List[Term] = []
+    for j, ctor in enumerate(decl.constructors):
+        rec = analyze_recursive_args(decl, j)
+        positions: List[int] = []  # bottom-height of each argument binder
+        recursive: List[int] = []  # indices of the recursive arguments
+        height = 0
+        for i in range(len(ctor.args)):
+            positions.append(height)
+            height += 1
+            info = rec[i]
+            if info is not None:
+                if info.inner_binders:
+                    raise ConfigError(
+                        f"{src} constructor {ctor.name!r}: a roundtrip "
+                        "through a function-typed recursive argument needs "
+                        "function extensionality"
+                    )
+                recursive.append(i)
+                height += 1
+
+        rank = {i: k for k, i in enumerate(recursive)}
+
+        def var(pos: int, shift: int) -> Term:
+            return Rel(height - 1 - pos + shift)
+
+        def constructed(shift: int, hole: int) -> Term:
+            """``c_j ps args`` under ``shift`` extra binders, with the
+            recursive arguments before ``hole`` plain, the one at ``hole``
+            the innermost binder and those after it roundtripped."""
+            ps = params_at(1 + height + shift)
+            args: List[Term] = []
+            for i, pos in enumerate(positions):
+                k = rank.get(i, -1)
+                if k < hole:
+                    args.append(var(pos, shift))
+                elif k == hole:
+                    args.append(Rel(0))
+                else:
+                    args.append(roundtrip(ps, var(pos, shift)))
+            return mk_app(Constr(src, j), ps + tuple(args))
+
+        carrier = mk_app(Ind(src), params_at(1 + height))
+        target = constructed(0, len(recursive))
+        body = mk_app(Constr("eq", 0), (carrier, target))
+        for hole in reversed(range(len(recursive))):
+            pos = positions[recursive[hole]]
+            arg = var(pos, 0)
+            ih = var(pos + 1, 0)
+            back = roundtrip(params_at(1 + height), arg)
+            rewrite_motive = Lam(
+                "w",
+                carrier,
+                equality(
+                    mk_app(Ind(src), params_at(2 + height)),
+                    constructed(1, hole),
+                    constructed(1, len(recursive)),
+                ),
+            )
+            body = mk_app(
+                Const("eq_ind"),
+                (
+                    carrier,
+                    arg,
+                    rewrite_motive,
+                    body,
+                    back,
+                    mk_app(Const("eq_sym"), (carrier, back, arg, ih)),
+                ),
+            )
+        ct = case_type(decl, j, params_at(1), motive)
+        binders: List[Tuple[str, Term]] = []
+        for _ in range(height):
+            binders.append((ct.name, ct.domain))
+            ct = ct.codomain
+        cases.append(mk_lams(binders, body))
+
+    x_ty = mk_app(Ind(src), params_at(0))
+    return mk_lams(
+        list(decl.params) + [("x", x_ty)],
+        Elim(src, motive, tuple(cases), Rel(0)),
+    )
+
+
 def prove_swap_equivalence(
     env: Environment,
     a_name: str,
     b_name: str,
     mapping: Sequence[int],
 ) -> Equivalence:
-    """Generate ``f``/``g`` and prove ``section``/``retraction``.
+    """Generate ``f``/``g`` and build ``section``/``retraction``.
 
-    The proofs are found exactly as sketched in Section 4.3: induct,
-    rewrite along each induction hypothesis, finish with reflexivity.
+    Section 4.3 fixes the shape of both proofs (induct, rewrite along
+    each induction hypothesis, finish with reflexivity), so
+    :func:`roundtrip_proof` builds them as terms and the kernel checks
+    each once against its :func:`roundtrip_statement`.  All of it runs
+    inside one ``equivalence`` span.
     """
-    from ...kernel.typecheck import typecheck_closed
-    from ...tactics.engine import Proof
-    from ...tactics.tactics import (
-        induction,
-        intros,
-        reflexivity,
-        rewrite,
-        simpl,
-    )
-    from ...kernel.pretty import pretty
+    with span("equivalence", a=a_name, b=b_name):
+        inverse = [0] * len(mapping)
+        for j, bj in enumerate(mapping):
+            inverse[bj] = j
 
-    a = env.inductive(a_name)
-    inverse = [0] * len(mapping)
-    for j, bj in enumerate(mapping):
-        inverse[bj] = j
+        f = build_map_function(env, a_name, b_name, mapping)
+        g = build_map_function(env, b_name, a_name, inverse)
+        typecheck_closed(env, f)
+        typecheck_closed(env, g)
 
-    f = build_map_function(env, a_name, b_name, mapping)
-    g = build_map_function(env, b_name, a_name, inverse)
-    typecheck_closed(env, f)
-    typecheck_closed(env, g)
-
-    def roundtrip_statement(src: str, fwd: Term, bwd: Term) -> Term:
-        decl = env.inductive(src)
-        np = decl.n_params
-        params = [Rel(np - m) for m in range(np)]  # under params..., x
-        src_ty = mk_app(Ind(src), tuple(Rel(np - 1 - m) for m in range(np)))
-        x = Rel(0)
-        applied = mk_app(bwd, tuple(params) + (mk_app(fwd, tuple(params) + (x,)),))
-        return mk_pis(
-            list(decl.params) + [("x", src_ty)],
-            mk_app(Ind("eq"), (mk_app(Ind(src), tuple(params)), applied, x)),
-        )
-
-    def prove_roundtrip(src: str, statement: Term) -> Term:
-        decl = env.inductive(src)
-        proof = Proof(env, statement)
-        binder_names = [name for name, _ in decl.params] + ["x"]
-        proof.run(intros(*binder_names))
-        # Name case binders so the script can rewrite along each IH.
-        names = []
-        ih_names_per_case = []
-        for j, ctor in enumerate(decl.constructors):
-            rec = analyze_recursive_args(decl, j)
-            case_names: List[str] = []
-            ih_names: List[str] = []
-            for i, (arg_name, _ty) in enumerate(ctor.args):
-                case_names.append(f"a{j}_{i}")
-                if rec[i] is not None:
-                    ih = f"IH{j}_{i}"
-                    case_names.append(ih)
-                    ih_names.append(ih)
-            names.append(case_names)
-            ih_names_per_case.append(ih_names)
-        proof.run(induction("x", names=names))
-        for j in range(decl.n_constructors):
-            ihs = ih_names_per_case[j]
-            if ihs:
-                proof.run(simpl())
-                for ih in ihs:
-                    proof.run(rewrite(ih))
-            proof.run(reflexivity())
-        return proof.qed()
-
-    section_stmt = roundtrip_statement(a_name, f, g)
-    retraction_stmt = roundtrip_statement(b_name, g, f)
-    section = prove_roundtrip(a_name, section_stmt)
-    retraction = prove_roundtrip(b_name, retraction_stmt)
-    return Equivalence(f=f, g=g, section=section, retraction=retraction)
+        proofs: List[Term] = []
+        for src, fwd, bwd in ((a_name, f, g), (b_name, g, f)):
+            proof = roundtrip_proof(env, src, fwd, bwd)
+            check(
+                env,
+                Context.empty(),
+                proof,
+                roundtrip_statement(env, src, fwd, bwd),
+            )
+            proofs.append(proof)
+        return Equivalence(f=f, g=g, section=proofs[0], retraction=proofs[1])

@@ -355,18 +355,21 @@ class Environment:
         type: Optional[Term] = None,
         opaque: bool = False,
     ) -> ConstantDecl:
-        """Define a constant; its type is inferred when not given."""
-        from .typecheck import check, infer
+        """Define a constant; its type is inferred when not given.
+
+        A given type must itself be a type (it is sorted first), and the
+        body is checked against it.
+        """
+        from .context import Context
+        from .typecheck import check, infer, infer_sort
 
         if name in self._constants or name in self._inductives:
             raise EnvError(f"duplicate global {name!r}")
-        from .context import Context
-
-        inferred = infer(self, Context.empty(), body)
         if type is not None:
+            infer_sort(self, Context.empty(), type)
             check(self, Context.empty(), body, type)
         else:
-            type = inferred
+            type = infer(self, Context.empty(), body)
         decl = ConstantDecl(name=name, type=type, body=body, opaque=opaque)
         self._constants[name] = decl
         self._append(name)

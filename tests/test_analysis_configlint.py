@@ -125,3 +125,21 @@ class TestTruePositives:
         )
         diags = lint_configuration(env, config)
         assert "RA206" in codes(diags)
+
+    def test_roundtrip_proof_of_the_wrong_equality(self, env):
+        # forall T x, x = x has the roundtrip's shape (an eq concluding
+        # at x) but proves nothing about swapping and swapping back.
+        from repro.syntax.parser import parse
+
+        config = swap_configuration(env, "list", "New.list")
+        config.equivalence = Equivalence(
+            f=config.equivalence.f,
+            g=config.equivalence.g,
+            section=parse(
+                env, "fun (T : Type1) (x : list T) => eq_refl (list T) x"
+            ),
+            retraction=config.equivalence.retraction,
+        )
+        diags = lint_configuration(env, config)
+        assert codes(diags) == ["RA206"]
+        assert diags[0].path == ("section",)

@@ -164,3 +164,55 @@ class TestReversedLimitations:
         env2.define("packed_nil", parse(env2, "ornament.dep_constr_0 nat"))
         with pytest.raises(RepairError):
             session.repair_constant("packed_nil")
+
+
+class TestRoundtripCheck:
+    """``Configuration.check`` reads the roundtrip equalities themselves."""
+
+    @pytest.fixture(scope="class")
+    def swapped(self):
+        from repro.core.search.swap import swap_configuration
+        from repro.stdlib import declare_list_type
+
+        env = make_env(lists=True, vectors=False)
+        declare_list_type(env, "New.list", swapped=True)
+        return env, swap_configuration(env, "list", "New.list")
+
+    def test_swap_equivalence_passes(self, swapped):
+        env, config = swapped
+        config.check(env)
+
+    def test_reflexivity_in_place_of_the_section_is_refused(self, swapped):
+        from repro.core.config import ConfigError, Configuration, Equivalence
+
+        env, config = swapped
+        eqv = config.equivalence
+        bogus = Configuration(
+            a=config.a,
+            b=config.b,
+            equivalence=Equivalence(
+                f=eqv.f,
+                g=eqv.g,
+                section=parse(
+                    env, "fun (T : Type1) (x : list T) => eq_refl (list T) x"
+                ),
+                retraction=eqv.retraction,
+            ),
+        )
+        with pytest.raises(ConfigError, match="section proof"):
+            bogus.check(env)
+
+    def test_section_and_retraction_swapped_are_refused(self, swapped):
+        from repro.core.config import ConfigError, Configuration, Equivalence
+
+        env, config = swapped
+        eqv = config.equivalence
+        bogus = Configuration(
+            a=config.a,
+            b=config.b,
+            equivalence=Equivalence(
+                f=eqv.f, g=eqv.g, section=eqv.retraction, retraction=eqv.section
+            ),
+        )
+        with pytest.raises(ConfigError, match="section proof"):
+            bogus.check(env)

@@ -3,9 +3,13 @@
 import pytest
 
 from repro.kernel import (
+    App,
+    Constr,
     Context,
     EnvError,
     Environment,
+    Ind,
+    Lam,
     PROP,
     Rel,
     SET,
@@ -65,6 +69,18 @@ class TestEnvironment:
                 parse(env, "S O"),
                 type=parse(env, "bool"),
             )
+
+    def test_define_with_an_ill_formed_type_rejected(self):
+        # bad : (fun (x : nat) => nat) true := O.  The declared type
+        # applies a nat-domain function to a bool, so it is no type at
+        # all, although nothing about the body refutes it.
+        env = Environment()
+        declare_prelude(env)
+        declare_nat(env)
+        bad_type = App(Lam("x", Ind("nat"), Ind("nat")), Constr("bool", 0))
+        with pytest.raises(TypeError_):
+            env.define("bad", Constr("nat", 0), type=bad_type)
+        assert not env.has_constant("bad")
 
     def test_assume_declares_axiom(self):
         env = Environment()

@@ -362,7 +362,19 @@ def test_the_configure_dispatcher_opens_no_second_span(traced):
     _declare_swapped_list(env)
     reset_tracer()
     configure(env, "list", "New.list")
-    assert _span_counts(get_tracer()) == {"configure": 1}
+    # One configure span, with the equivalence proofs' span inside it.
+    assert _span_counts(get_tracer()) == {"configure": 1, "equivalence": 1}
+
+
+def test_each_swap_equivalence_opens_a_span_inside_its_configure(traced):
+    from repro.cases.replica import run_scenario
+
+    run_scenario()
+    proofs = [sp for sp in traced.spans if sp.name == "equivalence"]
+    assert len(proofs) == 5
+    for sp in proofs:
+        assert sp.parent is not None and sp.parent.name == "configure"
+        assert sp.args["a"] == "Old.Term"
 
 
 # -- Term gauges ---------------------------------------------------------------
