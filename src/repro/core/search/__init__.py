@@ -54,8 +54,11 @@ def configure(
     ornament configuration for ``list``/``vector``-style pairs.  Each
     search procedure opens its own ``configure`` span and this
     dispatcher opens none, so a configuration records one span whether
-    it is built here or by calling the procedure directly.
+    it is built here or by calling the procedure directly.  When no
+    procedure applies, the error carries the swap procedure's refusal,
+    if it tried and refused.
     """
+    refusal: Optional[ConfigError] = None
     if env.has_inductive(a_name) and env.has_inductive(b_name):
         a = env.inductive(a_name)
         b = env.inductive(b_name)
@@ -71,8 +74,8 @@ def configure(
                 return swap.swap_configuration(
                     env, a_name, b_name, mapping=mapping, prove=prove
                 )
-            except ConfigError:
-                pass
+            except ConfigError as exc:
+                refusal = exc
         if a.n_constructors == 2 and b.n_indices == 1 and not a.n_indices:
             # list-to-vector style ornament.
             from . import ornaments
@@ -88,10 +91,12 @@ def configure(
             return tuples_records.tuples_records_configuration(
                 env, b_name, tuple_alias=a_name, prove=prove
             )
+    reason = f" (swap: {refusal})" if refusal is not None else ""
     raise ConfigError(
-        f"no automatic configuration found for {a_name!r} ~= {b_name!r}; "
-        "supply a manual configuration (TermSide) instead"
-    )
+        f"no automatic configuration found for {a_name!r} ~= "
+        f"{b_name!r}{reason}; supply a manual configuration (TermSide) "
+        "instead"
+    ) from refusal
 
 
 __all__ = [

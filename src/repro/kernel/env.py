@@ -9,8 +9,10 @@ maintains for plugins like Pumpkin Pi.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .inductive import (
     InductiveDecl,
@@ -43,6 +45,33 @@ ABSENT = object()
 
 _REDUCTION_CACHE_MAX = 1 << 20
 
+#: Serializes making a trie node, so forks on session threads that make
+#: one declaration at once land on one state.
+_TRIE_LOCK = threading.Lock()
+
+
+class _State:
+    """A declaration state: one node of an environment lineage's trie.
+
+    A child is keyed under its parent by the identity of the one
+    declaration that leads to it and pins that declaration, so the ids
+    in its key stay valid while the node lives.  A node holds its
+    parent strongly and its children weakly: it lives while a chain or
+    a cache entry holds it or a descendant, and a branch nothing holds
+    any more drops out of the trie.  A root pins nothing.
+    """
+
+    __slots__ = ("children", "parent", "decl", "__weakref__")
+
+    def __init__(
+        self, parent: Optional[_State] = None, decl: object = None
+    ) -> None:
+        self.children: "weakref.WeakValueDictionary[object, _State]" = (
+            weakref.WeakValueDictionary()
+        )
+        self.parent = parent
+        self.decl = decl
+
 
 class ReductionCache:
     """Environment-scoped memo for reduction and judgement results.
@@ -53,53 +82,107 @@ class ReductionCache:
     The transformer, the type checker, and the decompiler all reduce
     through the same :class:`Environment`, so they share this cache.
 
-    Entries stay valid under *additive* environment changes (``define``,
-    ``assume``, ``declare_inductive``): a term can only mention globals
-    that already existed when its entry was stored, because reducing a
-    term with an unknown constant raises instead of caching.  The one
-    mutating change, ``remove``, clears the store.  The kernel's cache
-    switch (:func:`~repro.kernel.term.set_kernel_caches`) decides
-    whether the judgements read and fill it.
+    Each entry is tagged with the *declaration state* it was derived in.
+    The states of an environment lineage (an environment and its forks)
+    form a trie: the root is fresh per :class:`Environment`, and a child
+    is keyed by the identity of one declaration (a constant's name,
+    type, body and opacity, an inductive's declaration object).  The
+    environment's *chain* is the state after each prefix of its
+    declaration order, and its *tip* is the last one.  :meth:`put` tags
+    an entry with the tip; :meth:`get` returns it only while its state
+    lies on the chain, and counts a hidden entry as a miss.
+
+    Why a hit is sound.  At state S the environment holds exactly the
+    declarations on S's path from the root, each the very object its key
+    names, so two environments at one state hold identical declarations.
+    An entry stored at S was derived from that content (using only
+    entries visible at S).  A lookup at tip T returns it only if S is on
+    T's chain, so T's content is S's plus further declarations, and
+    those cannot change it: a term can only mention globals that existed
+    when its entry was stored, because reducing a term with an unknown
+    constant raises instead of caching.  Rollback, checkpoint and fork
+    therefore copy and clear nothing: they only move an environment
+    along the trie, and an environment that declares again what it
+    dropped (the same objects) reaches the same states and sees every
+    entry derived there.  ``remove``, the one mutating change, moves the
+    environment to a fresh root.
+
+    Forks share the store and the trie, so sessions forked from one base
+    that declare the same things share verdicts.  The store is bounded
+    by a wholesale clear at ``_REDUCTION_CACHE_MAX`` entries; the trie
+    by its entries and the chains of live environments, since nothing
+    else holds a state (so the clear drops every branch no live
+    environment stands on).  The kernel's cache switch
+    (:func:`~repro.kernel.term.set_kernel_caches`) decides whether the
+    judgements read and fill it.
     """
 
-    __slots__ = ("_store",)
+    __slots__ = ("_store", "_chain", "_live")
 
     def __init__(self) -> None:
-        self._store: Dict[tuple, object] = {}
+        #: key -> (state, value); shared with every fork.
+        self._store: Dict[tuple, tuple] = {}
+        root = _State()
+        #: The state after each prefix of the declaration order.
+        self._chain: List[_State] = [root]
+        self._live: Set[_State] = {root}
 
     def get(self, key: tuple, counter) -> object:
         """The cached value for ``key``, or :data:`ABSENT` (counted)."""
-        value = self._store.get(key, ABSENT)
-        if value is ABSENT:
-            counter.misses += 1
-        else:
+        entry = self._store.get(key)
+        if entry is not None and entry[0] in self._live:
             counter.hits += 1
-        return value
+            return entry[1]
+        counter.misses += 1
+        return ABSENT
 
     def put(self, key: tuple, value: object) -> None:
         if len(self._store) >= _REDUCTION_CACHE_MAX:
-            self._store.clear()
-        self._store[key] = value
+            self.clear()
+        self._store[key] = (self._chain[-1], value)
 
     def clear(self) -> None:
+        """Drop every entry, for every fork sharing the store."""
         self._store.clear()
-
-    def snapshot_store(self) -> Dict[tuple, object]:
-        """A shallow copy of the store (keys/values shared, dict owned).
-
-        Entries are immutable once stored, so a shallow copy is a full
-        logical snapshot; :meth:`restore_store` installs one.
-        """
-        return dict(self._store)
-
-    def restore_store(self, store: Dict[tuple, object]) -> None:
-        """Replace the store with a copy of ``store`` (see
-        :meth:`snapshot_store`); the argument stays reusable."""
-        self._store = dict(store)
 
     @property
     def size(self) -> int:
         return len(self._store)
+
+    # -- Moving along the trie (called by Environment) ----------------------
+
+    def _advance(self, key: object, decl: object) -> None:
+        """Step to the tip's child for ``decl``, identified by ``key``."""
+        tip = self._chain[-1]
+        state = tip.children.get(key)
+        if state is None:
+            with _TRIE_LOCK:
+                state = tip.children.get(key)
+                if state is None:
+                    state = tip.children[key] = _State(tip, decl)
+        self._chain.append(state)
+        self._live.add(state)
+
+    def _truncate(self, depth: int) -> None:
+        """Step back to the state after the first ``depth`` declarations."""
+        for state in self._chain[depth + 1:]:
+            self._live.discard(state)
+        del self._chain[depth + 1:]
+
+    def _restart(self, depth: int) -> None:
+        """Stand on a fresh root, ``depth`` fresh states deep: nothing
+        stored before is visible, and only later forks of this
+        environment reach these states."""
+        self._chain = [_State() for _ in range(depth + 1)]
+        self._live = set(self._chain)
+
+    def _fork(self) -> ReductionCache:
+        """A cache sharing this one's store and trie, at the same tip."""
+        fork = ReductionCache.__new__(ReductionCache)
+        fork._store = self._store
+        fork._chain = list(self._chain)
+        fork._live = set(self._live)
+        return fork
 
 
 @dataclass(frozen=True)
@@ -107,10 +190,12 @@ class EnvCheckpoint:
     """An opaque rollback token from :meth:`Environment.checkpoint`.
 
     Captures the environment that took it (by its ``owner`` token),
-    how many globals were declared, the stamp of the newest one, how
+    how many globals were declared, the stamp of the newest one, and how
     many *destructive* mutations (``remove`` calls) the environment had
-    seen, and a shallow snapshot of the reduction-cache store.  Valid
-    for :meth:`Environment.rollback` of that environment only, and only
+    seen.  It copies nothing: the reduction cache's entries are tagged
+    with the declaration state they were derived in, and rolling back
+    only moves the environment back along its chain.  Valid for
+    :meth:`Environment.rollback` of that environment only, and only
     while every change since it was taken has been additive and no
     rollback has dropped a declaration it saw.
     """
@@ -119,7 +204,6 @@ class EnvCheckpoint:
     depth: int
     top: int
     destructive: int
-    cache_store: Dict[tuple, object]
 
 
 @dataclass(frozen=True)
@@ -244,14 +328,25 @@ class Environment:
         self._mutated()
         self._stamps.append(self._revision)
 
+    def _add_constant(self, decl: ConstantDecl) -> ConstantDecl:
+        """Install a constant (checked, or a generated recursor) and step
+        to its declaration state."""
+        self._constants[decl.name] = decl
+        self.reduction_cache._advance(
+            (decl.name, id(decl.type), id(decl.body), decl.opaque), decl
+        )
+        self._append(decl.name)
+        return decl
+
     # -- Checkpoint / rollback ----------------------------------------------
 
     def checkpoint(self) -> EnvCheckpoint:
         """A rollback token for the environment's current state.
 
-        Cheap to take: declarations are counted (not copied) and the
-        reduction-cache snapshot shares its keys and values.  Warm
-        workers (:mod:`repro.service.worker`) take one per job so a
+        Copies nothing: declarations are counted, and the reduction
+        cache needs no snapshot because its entries are tagged with the
+        declaration state they were derived in.  Warm workers
+        (:mod:`repro.service.worker`) take one per configuration so a
         long-lived environment can serve many hermetic repairs.
         """
         return EnvCheckpoint(
@@ -259,7 +354,6 @@ class Environment:
             depth=len(self._decl_order),
             top=self._stamps[-1] if self._stamps else 0,
             destructive=self._destructive,
-            cache_store=self.reduction_cache.snapshot_store(),
         )
 
     def rollback(self, mark: EnvCheckpoint) -> Tuple[str, ...]:
@@ -267,16 +361,18 @@ class Environment:
 
         Sound only for *additive* history: ``define``, ``assume``, and
         ``declare_inductive`` append, so dropping the tail of the
-        declaration order restores the exact prior environment, and the
-        reduction cache is reset to its snapshot (entries cached since
-        the mark may mention the dropped globals).  A ``remove`` since
-        the mark would make the tail-drop unsound, so rollback refuses
-        with :class:`EnvError` — callers should discard the environment
-        and rebuild instead.  So does a mark taken after an earlier
+        declaration order restores the exact prior environment.  The
+        reduction cache keeps every entry: the environment steps back to
+        the mark's declaration state, which hides the entries derived
+        since (they may mention the dropped globals) until the same
+        declarations are made again.  A ``remove`` since the mark would
+        make the tail-drop unsound, so rollback refuses with
+        :class:`EnvError` — callers should discard the environment and
+        rebuild instead.  So does a mark taken after an earlier
         rollback's target: that rollback dropped declarations the mark
-        saw, and so does a mark another environment took: its cache
-        snapshot holds verdicts over that environment's declarations.
-        Rolling back to the same mark again is fine.
+        saw, and so does a mark another environment took: its depth
+        names a state on that environment's chain.  Rolling back to the
+        same mark again is fine.
         """
         if mark.owner is not self._token:
             raise EnvError(
@@ -304,7 +400,7 @@ class Environment:
             self._inductives.pop(name, None)
         del self._decl_order[mark.depth:]
         del self._stamps[mark.depth:]
-        self.reduction_cache.restore_store(mark.cache_store)
+        self.reduction_cache._truncate(mark.depth)
         self._mutated()
         return added
 
@@ -314,10 +410,13 @@ class Environment:
         The fork shares the declaration objects and their arena terms,
         which are immutable and were checked when they entered this
         environment, so nothing enters the fork unchecked.  It owns its
-        declaration tables and a shallow copy of the reduction-cache
-        store (the copy :meth:`checkpoint` takes): later changes to
-        either environment never show in the other, and neither accepts
-        the other's checkpoints.  The memo on a shared
+        declaration tables and its chain of declaration states: later
+        changes to either environment never show in the other, and
+        neither accepts the other's checkpoints.  It shares the
+        reduction-cache store and its trie of states, so the fork sees
+        what its source derived so far, and forks that go on to make the
+        same declarations (the same objects) reach the same states and
+        share what each derives there.  The memo on a shared
         :class:`InductiveDecl` (``case_types``) is shared too; it is a
         pure function of the declaration.
         """
@@ -329,7 +428,7 @@ class Environment:
         # Stamps come from the revision: continuing it keeps every
         # stamp unique, the fork's own above every copied one.
         fork._revision = self._revision
-        fork.reduction_cache.restore_store(self.reduction_cache._store)
+        fork.reduction_cache = self.reduction_cache._fork()
         return fork
 
     # -- Declaration --------------------------------------------------------
@@ -342,7 +441,16 @@ class Environment:
         """
         if decl.name in self._inductives or decl.name in self._constants:
             raise EnvError(f"duplicate global {decl.name!r}")
-        self._check_inductive(decl)
+        # The check runs in the inductive's own declaration state, where
+        # it is provisionally visible; a failed check steps back out, so
+        # nothing derived in that window stays visible.
+        cache = self.reduction_cache
+        cache._advance(id(decl), decl)
+        try:
+            self._check_inductive(decl)
+        except BaseException:
+            cache._truncate(len(self._decl_order))
+            raise
         self._inductives[decl.name] = decl
         self._append(decl.name)
         self._define_recursor(decl)
@@ -370,10 +478,9 @@ class Environment:
             check(self, Context.empty(), body, type)
         else:
             type = infer(self, Context.empty(), body)
-        decl = ConstantDecl(name=name, type=type, body=body, opaque=opaque)
-        self._constants[name] = decl
-        self._append(name)
-        return decl
+        return self._add_constant(
+            ConstantDecl(name=name, type=type, body=body, opaque=opaque)
+        )
 
     def assume(self, name: str, type: Term) -> ConstantDecl:
         """Declare an axiom-like constant with no body.
@@ -387,19 +494,20 @@ class Environment:
         if name in self._constants or name in self._inductives:
             raise EnvError(f"duplicate global {name!r}")
         infer_sort(self, Context.empty(), type)
-        decl = ConstantDecl(name=name, type=type, body=None)
-        self._constants[name] = decl
-        self._append(name)
-        return decl
+        return self._add_constant(ConstantDecl(name=name, type=type))
 
     def remove(self, name: str) -> None:
-        """Remove a global (e.g. the old type after a successful repair)."""
+        """Remove a global (e.g. the old type after a successful repair).
+
+        The environment moves to a fresh root of the declaration-state
+        trie, so nothing derived before the removal is visible.
+        """
         self._constants.pop(name, None)
         self._inductives.pop(name, None)
         if name in self._decl_order:
             index = self._decl_order.index(name)
             del self._decl_order[index], self._stamps[index]
-        self.reduction_cache.clear()
+        self.reduction_cache._restart(len(self._decl_order))
         self._destructive += 1
         self._mutated()
 
@@ -432,11 +540,6 @@ class Environment:
                         f"{decl.name}.{ctor.name}: expected "
                         f"{decl.n_indices} result indices"
                     )
-        except BaseException:
-            # Results cached while the inductive was provisionally
-            # visible must not outlive a failed check.
-            self.reduction_cache.clear()
-            raise
         finally:
             del self._inductives[decl.name]
 
@@ -511,6 +614,6 @@ class Environment:
         name = f"{decl.name}_rect"
         if name in self._constants:
             return
-        decl_const = ConstantDecl(name=name, type=rect_type, body=rect_body)
-        self._constants[name] = decl_const
-        self._append(name)
+        self._add_constant(
+            ConstantDecl(name=name, type=rect_type, body=rect_body)
+        )

@@ -20,7 +20,7 @@ setting, CIC_omega, does not impose one either.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 from . import term as _term
 from .context import Context
@@ -42,6 +42,7 @@ from .term import (
     Term,
     TermError,
     lift,
+    max_free_rel,
     mk_app,
     subst_many,
     unfold_app,
@@ -56,13 +57,34 @@ _INFER_COUNTER = KERNEL_STATS.counter("infer")
 _INFER_TAG = "infer"
 
 
+def _scope_ids(
+    ctx: Context, term: Term, expected: Optional[Term] = None
+) -> Tuple[int, ...]:
+    """The context part of an ``infer``/``check`` verdict key.
+
+    Typing a closed term never reads the context (weakening), and the
+    type it gets is closed, so a verdict about closed inputs (``term``,
+    and ``expected`` when given) keys on no context at all: one entry
+    serves every context it is asked in.
+    """
+    ids = ctx.type_ids()
+    if (
+        ids
+        and max_free_rel(term) == 0
+        and (expected is None or max_free_rel(expected) == 0)
+    ):
+        return ()
+    return ids
+
+
 def infer(env: Environment, ctx: Context, term: Term) -> Term:
     """Infer the type of ``term`` in ``ctx``; raise TypeError_ on failure.
 
     Successful inferences are memoized in the environment's reduction
-    cache under ``(term, context entries)``: inference is deterministic
-    given the environment, and the cache is invalidated whenever the
-    environment changes non-additively.  Failures are not cached.
+    cache under ``(term, context entries)``, or under the term alone
+    when it is closed: inference is deterministic given the
+    environment, and an entry is visible only in the declaration states
+    that extend the one it was derived in.  Failures are not cached.
     """
     # Identity keys (term and context types pinned in the value) keep
     # the cache name-faithful: a structural key could return a type
@@ -70,7 +92,7 @@ def infer(env: Environment, ctx: Context, term: Term) -> Term:
     cache = env.reduction_cache
     key = None
     if _term._caches_enabled and not isinstance(term, (Rel, Sort, Const)):
-        key = (_INFER_TAG, id(term), ctx.type_ids())
+        key = (_INFER_TAG, id(term), _scope_ids(ctx, term))
         hit = cache.get(key, _INFER_COUNTER)
         if hit is not ABSENT:
             return hit[-1]
@@ -136,13 +158,14 @@ def _infer_spine(env: Environment, ctx: Context, term: App) -> Term:
     """
     cache = env.reduction_cache
     caching = _term._caches_enabled
-    ids = ctx.type_ids() if caching else None
     spine = [term]
     t = term.fn
     fn_ty = None
     while isinstance(t, App):
         if caching:
-            hit = cache.get((_INFER_TAG, id(t), ids), _INFER_COUNTER)
+            hit = cache.get(
+                (_INFER_TAG, id(t), _scope_ids(ctx, t)), _INFER_COUNTER
+            )
             if hit is not ABSENT:
                 fn_ty = hit[-1]
                 break
@@ -211,15 +234,17 @@ def check(env: Environment, ctx: Context, term: Term, expected: Term) -> None:
     against expected (configuration-derived) types, so this skips
     re-deriving what the caller already knows.  Successful verdicts are
     memoized in the environment's reduction cache (identity keys with
-    the referents pinned in the value, like ``infer``); checking is
-    stable under additive environment extension, and the cache is
-    cleared on any non-additive change.  Failures are not cached and
-    fall back to the synthesizing path, preserving its error reporting.
+    the referents pinned in the value, and no context when term and
+    expected type are both closed, like ``infer``); checking is stable
+    under additive environment extension, which is all an entry is
+    ever visible across.  Failures are not cached and fall back to the
+    synthesizing path, preserving its error reporting.
     """
     cache = env.reduction_cache
     key = None
     if _term._caches_enabled:
-        key = (_CHECK_TAG, id(term), id(expected), ctx.type_ids())
+        scope = _scope_ids(ctx, term, expected)
+        key = (_CHECK_TAG, id(term), id(expected), scope)
         hit = cache.get(key, _CHECK_COUNTER)
         if hit is not ABSENT:
             return

@@ -3,18 +3,23 @@
 A warm, caches-on environment (hash consing, the de Bruijn memo tables
 and the reduction cache with its ``infer``/``check``/``conv`` verdicts)
 goes through seeded random runs of ``define``, ``remove``,
-``checkpoint``, ``rollback``, ``reduction_cache.clear()`` and ``fork``
-— the history a warm pool worker or a server session puts an
-environment through.  Each step picks the base environment or one of
-the forks made so far, and the model tracks each environment's own
-history.  After every step, random terms (from :mod:`tests.termgen`
-plus typed terms over the user constants) must get the same ``infer``
-result, ``nf`` and ``conv`` verdicts in the environment the step
-changed, or the same error class, as in a cache-free reference: an
-environment used with every cache layer off, into which that
-environment's current user declarations are replayed from scratch.
-The replay goes through the checked ``define``, so the reference also
-re-checks every declaration the warm side accepted.
+``checkpoint``, ``rollback``, a replay, ``reduction_cache.clear()`` and
+``fork`` — the history a warm pool worker or a server session puts an
+environment through.  A replay rolls back to a mark that drops
+declarations and declares them again (the same term objects, as a warm
+worker's next job does), or stops at one of them and declares that name
+with another body: the reduction cache tags each entry with the
+declaration state it was derived in, so it must show every verdict of
+a replayed state and none of a replaced one.  Each step picks the base
+environment or one of the forks made so far, and the model tracks each
+environment's own history.  After every step, random terms (from
+:mod:`tests.termgen` plus typed terms over the user constants) must get
+the same ``infer`` result, ``nf`` and ``conv`` verdicts in the
+environment the step changed, or the same error class, as in a
+cache-free reference: an environment used with every cache layer off,
+into which that environment's current user declarations are declared
+from scratch.  That goes through the checked ``define``, so the
+reference also re-checks every declaration the warm side accepted.
 
 Rollback follows its contract: a rollback succeeds exactly when no
 ``remove`` happened since the mark, and restores the declarations the
@@ -39,15 +44,18 @@ cache-free environment refuses them.
 """
 
 import random
+import sys
+import threading
 from contextlib import contextmanager
 
 import pytest
 
 from repro.kernel.context import Context
 from repro.kernel.convert import conv
-from repro.kernel.env import EnvError
+from repro.kernel.env import ABSENT, EnvError
 from repro.kernel.pretty import pretty
 from repro.kernel.reduce import nf
+from repro.kernel.stats import KERNEL_STATS, CacheCounter
 from repro.kernel.term import (
     App,
     Const,
@@ -81,6 +89,7 @@ OPS = (
     ("remove", 1),
     ("checkpoint", 3),
     ("rollback", 3),
+    ("replay", 3),
     ("clear", 1),
     ("fork", 1),
 )
@@ -351,12 +360,55 @@ def first_difference(got, expected):
     return next(f"{g} != {e}" for g, e in zip(got, expected) if g != e)
 
 
+def define_checked(warm, model, ref, where, name, kind, body, ty, used):
+    """Define on the warm side, compare with the reference, record."""
+    ref.sync(model.decls)
+    expected, _ = ref.define(name, body, ty)
+    got, decl = define_verdict(warm, name, body, ty)
+    assert got == expected, f"{where} define {name}: {got} != {expected}"
+    if decl is not None:
+        model.decls.append((name, kind, decl.body, decl.type, used))
+
+
 def run_step(rng, envs, index, ref, where):
     """One random mutation of ``envs[index]``; returns a label for
     messages.  ``envs`` lists ``(environment, model)`` pairs; a fork
     is appended to it."""
     warm, model = envs[index]
     op = rng.choices([o for o, _ in OPS], [w for _, w in OPS])[0]
+    if op == "replay":
+        # Roll back to a mark that drops declarations, then declare them
+        # again in order, the same terms, or stop at one and give that
+        # name another body.
+        valid = [
+            i
+            for i, (_, decls, destructive) in enumerate(model.marks)
+            if destructive == model.destructive
+            and len(decls) < len(model.decls)
+        ]
+        if not valid:
+            return "replay (none)"
+        index = rng.choice(valid)
+        mark, decls, _ = model.marks[index]
+        dropped = model.decls[len(decls):]
+        assert warm.rollback(mark) == tuple(d[0] for d in dropped), where
+        model.decls = list(decls)
+        del model.marks[index + 1:]
+        changed = rng.randrange(len(dropped) + 1)
+        for name, kind, body, ty, used in dropped[:changed]:
+            warm.define(name, body, ty)
+            model.decls.append((name, kind, body, ty, used))
+        if changed == len(dropped):
+            return f"replay {len(dropped)}"
+        name, kind = dropped[changed][:2]
+        source = Source(rng, model.visible())
+        body = parse(warm, source.body(kind))
+        ty = parse(warm, TYPES[kind]) if rng.random() < 0.5 else None
+        define_checked(
+            warm, model, ref, where, name, kind, body, ty,
+            frozenset(source.used),
+        )
+        return f"replay {changed}, then {name} with another body"
     if op == "fork":
         if len(envs) >= MAX_ENVS:
             return "fork (full)"
@@ -378,16 +430,10 @@ def run_step(rng, envs, index, ref, where):
                 ty = parse(warm, TYPES[rng.choice(list(TYPES))])
             elif roll < 0.55:
                 ty = parse(warm, TYPES[kind])
-            ref.sync(model.decls)
-            expected, _ = ref.define(name, body, ty)
-            got, decl = define_verdict(warm, name, body, ty)
-            assert got == expected, (
-                f"{where} define {name}: {got} != {expected}"
+            define_checked(
+                warm, model, ref, where, name, kind, body, ty,
+                frozenset(source.used),
             )
-            if decl is not None:
-                model.decls.append(
-                    (name, kind, decl.body, decl.type, frozenset(source.used))
-                )
             return f"define {name}"
     if op == "remove":
         unused = [n for n in live if n not in model.referenced()]
@@ -512,3 +558,194 @@ def test_warm_caches_reject_every_mutant():
     for (label, _), verdict, reference in zip(mutants, got, expected):
         assert reference[0] == "error", f"{label}: accepted {reference}"
         assert verdict == reference, f"{label}: {verdict} != {reference}"
+
+
+# -- Declaration states, case by case ------------------------------------------
+#
+# Each case makes the same declarations in a caches-on environment and
+# in a cache-free one, and the probes must get the same verdicts in both.
+
+
+def judgements(env, probe, other):
+    """``probe``'s infer and nf verdicts and its conversion with
+    ``other``, or the error classes."""
+    out = []
+    for judge in (
+        lambda: pretty(infer(env, Context.empty(), probe), env=env),
+        lambda: pretty(nf(env, probe), env=env),
+        lambda: conv(env, probe, other),
+    ):
+        try:
+            out.append(judge())
+        except TermError as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+def visible_entries(env):
+    """How many reduction-cache entries ``env`` can see."""
+    cache, counter = env.reduction_cache, CacheCounter()
+    return sum(cache.get(key, counter) is not ABSENT for key in list(cache._store))
+
+
+def verdict_misses():
+    return {name: KERNEL_STATS.counter(name).misses for name in ("infer", "nf", "conv")}
+
+
+def against_reference(case):
+    """``case``'s verdicts on a caches-on and on a cache-free
+    environment, which must agree."""
+    with kernel_caches(True):
+        got = case(make_env(lists=False, vectors=False))
+    with kernel_caches(False):
+        expected = case(make_env(lists=False, vectors=False))
+    assert got == expected
+    return got
+
+
+def probe_u(env):
+    """The judgements of ``S u``, converted with 3."""
+    succ = Constr("nat", 1)
+    three = App(succ, App(succ, App(succ, Constr("nat", 0))))
+    return judgements(env, App(succ, Const("u")), three)
+
+
+def test_a_name_declared_again_with_another_body_gets_fresh_verdicts():
+    def case(env):
+        mark = env.checkpoint()
+        out = []
+        for body in ("2", "3", "true"):
+            env.define("u", parse(env, body))
+            out.append(probe_u(env))
+            env.rollback(mark)
+        return out
+
+    assert against_reference(case) == [
+        ["nat", "S (S (S O))", True],
+        ["nat", "S (S (S (S O)))", False],
+        ["TypeError_", "S true", False],
+    ]
+
+
+def test_forks_share_verdicts_only_for_identical_declarations():
+    def case(env):
+        forks = [env.fork() for _ in range(3)]
+        for fork, body in zip(forks, ("2", "3", "2")):
+            fork.define("u", parse(fork, body))
+        return [probe_u(fork) for fork in forks]
+
+    assert against_reference(case) == [
+        ["nat", "S (S (S O))", True],
+        ["nat", "S (S (S (S O)))", False],
+        ["nat", "S (S (S O))", True],
+    ]
+    with kernel_caches(True):
+        base = make_env(lists=False, vectors=False)
+        first, second = base.fork(), base.fork()
+        for fork in (first, second):
+            fork.define("u", parse(fork, "2"))
+        probe_u(first)
+        misses = verdict_misses()
+        probe_u(second)
+        assert verdict_misses() == misses
+
+
+def test_a_failed_inductive_leaves_no_verdict_about_it_visible():
+    from repro.kernel.inductive import ConstructorDecl, InductiveDecl
+    from repro.kernel.term import SET
+
+    def case(env):
+        # Checking T.mk's first two argument types stores verdicts that
+        # mention T; the third is ill-typed, so T is never declared.
+        args = (
+            ("x", Ind("T")),
+            ("f", Pi("n", Ind("nat"), Ind("T"))),
+            ("bad", App(Ind("nat"), Ind("nat"))),
+        )
+        decl = InductiveDecl(
+            name="T",
+            params=(),
+            indices=(),
+            sort=SET,
+            constructors=(ConstructorDecl("T.mk", args=args),),
+        )
+        with pytest.raises(TermError):
+            env.declare_inductive(decl)
+        assert not env.has_inductive("T")
+        return [
+            judgements(env, term, Ind("nat"))
+            for term in (Ind("T"), Pi("n", Ind("nat"), Ind("T")))
+        ]
+
+    assert against_reference(case) == [
+        ["EnvError", "T", False],
+        ["EnvError", "nat -> T", False],
+    ]
+
+
+def test_nothing_derived_before_a_remove_stays_visible():
+    def case(env):
+        env.define("u", parse(env, "2"))
+        before = probe_u(env)
+        env.remove("u")
+        return before, visible_entries(env), probe_u(env)
+
+    assert against_reference(case) == (
+        ["nat", "S (S (S O))", True],
+        0,
+        ["EnvError", "EnvError", "EnvError"],
+    )
+
+
+def test_forks_on_threads_converge_and_keep_their_own_verdicts():
+    # Server sessions are forks of one base, each on its own thread, so
+    # forks share the base's store and trie across threads.  In each
+    # round every thread makes one new declaration at once in a fresh
+    # fork: they must all land on one state.  Each fork's verdicts about
+    # its own declaration must stay its own, while another thread keeps
+    # clearing the shared store.
+    threads, rounds = 6, 100
+    with kernel_caches(True):
+        base = make_env(lists=False, vectors=False)
+        nat, two = parse(base, "nat"), parse(base, "2")
+        values = [parse(base, str(i)) for i in range(threads)]
+    tips = [set() for _ in range(rounds)]
+    errors = []
+    barrier, stop = threading.Barrier(threads), threading.Event()
+
+    def session(i):
+        try:
+            for r in range(rounds):
+                fork = base.fork()
+                barrier.wait(timeout=30)
+                fork.define(f"u{r}", two, nat)
+                tips[r].add(fork.reduction_cache._chain[-1])
+                fork.define("v", values[i], nat)
+                assert nf(fork, Const("v")) == values[i]
+        except BaseException as exc:
+            errors.append(exc)
+            barrier.abort()
+
+    def sweeper():
+        while not stop.is_set():
+            base.reduction_cache.clear()
+
+    workers = [
+        threading.Thread(target=session, args=(i,)) for i in range(threads)
+    ]
+    cleaner = threading.Thread(target=sweeper)
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with kernel_caches(True):
+            for thread in workers + [cleaner]:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60)
+            stop.set()
+            cleaner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in workers + [cleaner])
+    assert errors == [], errors[0]
+    assert [len(states) for states in tips] == [1] * rounds

@@ -98,28 +98,45 @@ class TestEnvironment:
 
         assert nf(env, Const("sealed")) == Const("sealed")
 
-    def test_checkpoint_rollback_restores_declarations_and_cache(self):
-        from repro.kernel import nf
+    def test_checkpoint_rollback_restores_declarations_and_cache(
+        self, kernel_caches_on
+    ):
+        from repro.kernel import KERNEL_STATS, nf, typecheck_closed
 
         env = Environment()
         declare_prelude(env)
         declare_nat(env)
         nf(env, parse(env, "S (S O)"))  # populate the reduction cache
         order = env.declaration_order()
-        cache_size = env.reduction_cache.size
         mark = env.checkpoint()
         env.define("two", parse(env, "2"))
         env.define("four", parse(env, "4"))
-        nf(env, parse(env, "four"))  # cache entries mentioning 'four'
+        probe = parse(env, "S four")
+        five = nf(env, probe)  # verdicts mentioning 'four'
+        typecheck_closed(env, probe)
         added = env.rollback(mark)
         assert added == ("two", "four")
         assert not env.has_constant("two")
         assert not env.has_constant("four")
         assert env.declaration_order() == order
-        assert env.reduction_cache.size == cache_size
-        # The environment is reusable: the same names define cleanly.
+        # What was derived over 'four' went with it: the probe fails the
+        # way it fails in an environment that never cached anything.
+        with pytest.raises(EnvError):
+            nf(env, probe)
+        with pytest.raises(EnvError):
+            typecheck_closed(env, probe)
+        # The environment is reusable, and declaring the same again
+        # reaches the same declaration state: both verdicts are hits.
         env.define("two", parse(env, "2"))
-        assert env.has_constant("two")
+        env.define("four", parse(env, "4"))
+        misses = {
+            name: KERNEL_STATS.counter(name).misses for name in ("nf", "infer")
+        }
+        assert nf(env, probe) is five
+        typecheck_closed(env, probe)
+        assert misses == {
+            name: KERNEL_STATS.counter(name).misses for name in ("nf", "infer")
+        }
 
     def test_rollback_refused_after_remove(self):
         env = Environment()

@@ -14,16 +14,19 @@ those must stay flat over repeated sessions too.
 A warm pool worker serves job after job on one resident environment.
 Its pure term walks (``subst_many``, binder eta expansion, transform
 keys, closed ``pretty``) memoize into process-global tables, which must
-stop growing once every job has run.
+stop growing once every job has run.  Its kernel verdicts live in the
+resident's reduction cache, tagged with the declaration state they were
+derived in: a job that declares what an earlier job declared re-derives
+none of them, and the store stops growing once every job has run.
 """
 
 import importlib
 
 from repro.commands import CommandSession
 from repro.core import caching, transform
-from repro.kernel import term
+from repro.kernel import KERNEL_STATS, term
 from repro.server.sessions import DEFAULT_SETUP, SessionManager
-from repro.service.cases import six_case_jobs
+from repro.service.cases import quickstart_env, six_case_jobs
 from repro.service.worker import build_environment, execute_warm
 
 
@@ -115,6 +118,50 @@ def test_warm_worker_jobs_leave_memos_flat(kernel_caches_on):
     for _ in range(4):
         _warm_pass(residents)
     assert _memo_sizes() == before
+
+
+#: The reduction cache's verdict tables.
+VERDICT_TABLES = ("check", "infer", "whnf", "nf", "conv")
+
+
+def _verdict_misses():
+    return {name: KERNEL_STATS.counter(name).misses for name in VERDICT_TABLES}
+
+
+def test_steady_warm_jobs_rederive_no_kernel_verdict(kernel_caches_on):
+    residents = {}
+    _warm_pass(residents)
+    before = _verdict_misses()
+    _warm_pass(residents)
+    assert _verdict_misses() == before
+
+
+def test_distinct_targets_leave_the_reduction_cache_flat(kernel_caches_on):
+    # Every quickstart constant over ``list``, each its own job; jobs
+    # repairing different targets share the dependencies they declare.
+    env = quickstart_env()
+    refs = env.declaration_refs()
+    targets = [
+        name
+        for name in env.declaration_order()
+        if "list" in refs.get(name, ())
+        and env.has_constant(name)
+        and not name.startswith("New.")
+        and not name.endswith("_rect")
+    ]
+    assert len(targets) == 16
+    (job,) = [job for job in six_case_jobs() if job.name.startswith("quick")]
+    residents = {}
+    sizes, misses = [], []
+    for _ in range(3):
+        for target in targets:
+            payload = dict(job.payload(), target=target)
+            assert execute_warm(residents, payload)["status"] == "ok"
+        (resident,) = residents.values()
+        sizes.append(resident.env.reduction_cache.size)
+        misses.append(_verdict_misses())
+    assert sizes[1:] == sizes[:1] * 2
+    assert misses[1:] == misses[:1] * 2
 
 
 def test_clear_term_caches_empties_the_walk_tables(kernel_caches_on):

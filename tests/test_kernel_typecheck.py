@@ -159,3 +159,49 @@ class TestStoredConstants:
         env.assume("x", SET)
         with pytest.raises(Exception):
             env.assume("x", SET)
+
+
+class TestVerdictScope:
+    """Closed terms key their ``infer``/``check`` verdicts on no context."""
+
+    @staticmethod
+    def _counts(name):
+        from repro.kernel import KERNEL_STATS
+
+        counter = KERNEL_STATS.counter(name)
+        return counter.hits, counter.misses
+
+    def test_closed_verdicts_serve_every_context(self, kernel_caches_on):
+        from repro.stdlib import make_env
+
+        env = make_env(lists=False, vectors=False)
+        f = parse(env, "fun (n : nat) => S n")
+        ty = typecheck_closed(env, f)
+        check(env, Context.empty(), f, ty)
+        ctx = Context.empty().push("b", Ind("bool")).push("m", Ind("nat"))
+        hits, misses = self._counts("infer")
+        assert infer(env, ctx, f) is ty
+        assert self._counts("infer") == (hits + 1, misses)
+        hits, misses = self._counts("check")
+        check(env, ctx, f, ty)
+        assert self._counts("check") == (hits + 1, misses)
+
+    def test_open_terms_keep_one_verdict_per_context(self, kernel_caches_on):
+        from repro.stdlib import make_env
+
+        env = make_env(lists=False, vectors=False)
+        succ = App(Constr("nat", 1), Rel(0))
+        one = Context.empty().push("m", Ind("nat"))
+        two = Context.empty().push("b", Ind("bool")).push("m", Ind("nat"))
+        assert infer(env, one, succ) == Ind("nat")
+        size = env.reduction_cache.size
+        hits, misses = self._counts("infer")
+        assert infer(env, two, succ) == Ind("nat")
+        # The whole term misses (only the closed head ``S`` hits) and
+        # stores an entry of its own.
+        assert self._counts("infer") == (hits + 1, misses + 1)
+        assert env.reduction_cache.size > size
+        for ctx in (one, two):
+            hits, misses = self._counts("infer")
+            infer(env, ctx, succ)
+            assert self._counts("infer") == (hits + 1, misses)

@@ -132,9 +132,10 @@ class TestEquivalenceGeneration:
         back = nf(env, mk_app(config.equivalence.g, [Ind("nat"), mapped]))
         assert back == nf(env, xs)
 
-    def test_function_typed_recursive_argument_is_refused(self):
-        # node : (nat -> Tree) -> Tree.  Its roundtrip would need function
-        # extensionality, which the Section 4.3 proof shape does not have.
+    @staticmethod
+    def _trees():
+        """``Tree := leaf | node (nat -> Tree)`` and ``Tree2``, its copy
+        with the constructors swapped."""
         from repro.kernel import Pi
         from repro.kernel.inductive import ConstructorDecl, InductiveDecl
         from repro.kernel.term import SET
@@ -156,8 +157,21 @@ class TestEquivalenceGeneration:
                     constructors=tuple(ctors[i] for i in order),
                 )
             )
+        return env
+
+    def test_function_typed_recursive_argument_is_refused(self):
+        # node : (nat -> Tree) -> Tree.  Its roundtrip would need function
+        # extensionality, which the Section 4.3 proof shape does not have.
         with pytest.raises(ConfigError, match="function extensionality"):
-            swap_configuration(env, "Tree", "Tree2")
+            swap_configuration(self._trees(), "Tree", "Tree2")
+
+    def test_configure_says_why_swap_refused(self):
+        from repro.core.search import configure
+
+        with pytest.raises(ConfigError, match="function extensionality") as info:
+            configure(self._trees(), "Tree", "Tree2")
+        assert "no automatic configuration found" in str(info.value)
+        assert isinstance(info.value.__cause__, ConfigError)
 
     def test_equivalence_for_multi_recursive_ctors(self):
         # The Term language has binary recursive constructors; the
