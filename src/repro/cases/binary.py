@@ -26,9 +26,7 @@ The workflow reproduced here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from ..core.caching import TransformCache
 from ..core.config import Configuration, MarkedIotaSide, TermSide
 from ..core.repair import RepairResult, RepairSession
 from ..kernel.env import Environment
@@ -181,7 +179,7 @@ def declare_marked_add_n_Sm(env: Environment) -> None:
     env.define("add_n_Sm_marked", proof, type=stmt)
 
 
-def run_scenario(cache: Optional[TransformCache] = None) -> BinaryScenario:
+def run_scenario() -> BinaryScenario:
     """Run the full Section 6.3 workflow; return all artifacts."""
     from ..tactics.engine import prove
     from ..tactics.tactics import (
@@ -202,7 +200,6 @@ def run_scenario(cache: Optional[TransformCache] = None) -> BinaryScenario:
         config,
         old_globals=["nat"],
         rename=lambda n: {"add": "slow_add"}.get(n, f"N.{n}"),
-        cache=cache,
     )
     # Repair nat N in add as slow_add.
     slow_add = session.repair_constant("add", new_name="slow_add")

@@ -10,9 +10,8 @@ induces an equivalence ``I ~= J`` along which the boolean algebra
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from ..core.caching import TransformCache
 from ..core.config import (
     AlignedSide,
     Configuration,
@@ -195,7 +194,7 @@ def _prove_equivalence(env: Environment) -> Equivalence:
     return Equivalence(f=f, g=g, section=section, retraction=retraction)
 
 
-def run_scenario(cache: Optional[TransformCache] = None) -> RefactorScenario:
+def run_scenario() -> RefactorScenario:
     """Repair the I-algebra and the De Morgan proofs onto J."""
     env = setup_environment()
     config = refactor_configuration(env)
@@ -204,7 +203,6 @@ def run_scenario(cache: Optional[TransformCache] = None) -> RefactorScenario:
         config,
         old_globals=["I"],
         rename=lambda n: f"J.{n.split('.')[-1]}",
-        cache=cache,
     )
     results = session.repair_module(
         ["neg", "Ialg.and", "Ialg.or", "demorgan_1", "demorgan_2"]

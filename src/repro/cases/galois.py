@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..core.caching import TransformCache
 from ..core.config import Configuration
 from ..core.repair import RepairResult, RepairSession
 from ..core.search.tuples_records import tuples_records_configuration
@@ -129,7 +128,7 @@ def _tuple_rests(env: Environment) -> List[str]:
     return rests
 
 
-def run_scenario(cache: TransformCache = None) -> GaloisScenario:
+def run_scenario() -> GaloisScenario:
     """Run the full Section 6.4 workflow; return all artifacts."""
     from ..tactics.engine import prove
     from ..tactics.tactics import intros, reflexivity, rewrite, simpl
@@ -146,7 +145,6 @@ def run_scenario(cache: TransformCache = None) -> GaloisScenario:
         handshake_config,
         old_globals=["Galois.Handshake"],
         rename=lambda n: f"{n}'",
-        cache=cache,
     )
     session1.repair_module()
 
@@ -160,7 +158,6 @@ def run_scenario(cache: TransformCache = None) -> GaloisScenario:
         connection_config,
         old_globals=["Galois.Connection'"],
         rename=lambda n: n.replace("'", "") + ".record",
-        cache=cache,
     )
     cork_result = session2.repair_constant("cork'", new_name="Record.cork")
 
@@ -189,7 +186,6 @@ def run_scenario(cache: TransformCache = None) -> GaloisScenario:
         connection_config.reversed(),
         old_globals=["Record.Connection"],
         rename=lambda n: n.replace("Record.", "") + ".tupled",
-        cache=cache,
     )
     lemma_mid = back2.repair_constant(
         "Record.corkLemma", new_name="corkLemma.mid"
@@ -199,7 +195,6 @@ def run_scenario(cache: TransformCache = None) -> GaloisScenario:
         handshake_config.reversed(),
         old_globals=["Record.Handshake"],
         rename=lambda n: n.replace(".mid", ""),
-        cache=cache,
     )
     cork_lemma_tuple = back1.repair_constant(
         "corkLemma.mid", new_name="corkLemma"

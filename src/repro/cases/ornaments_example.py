@@ -21,9 +21,8 @@ The full pipeline the paper demonstrates:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from ..core.caching import TransformCache
 from ..core.config import Configuration
 from ..core.repair import RepairResult, RepairSession
 from ..core.search.ornaments import ornament_configuration
@@ -125,7 +124,7 @@ def declare_length_pi(env: Environment) -> None:
     )
 
 
-def run_scenario(cache: Optional[TransformCache] = None) -> OrnamentScenario:
+def run_scenario() -> OrnamentScenario:
     """Run the full Section 6.2 workflow; return all artifacts."""
     env = make_env(lists=True, vectors=True)
     declare_length_invariant(env)
@@ -137,7 +136,6 @@ def run_scenario(cache: Optional[TransformCache] = None) -> OrnamentScenario:
         config,
         old_globals=["list"],
         rename=lambda n: f"Packed.{n}",
-        cache=cache,
         skip=[
             "ornament.eta",
             "ornament.dep_constr_0",

@@ -10,9 +10,8 @@ decompiler produces the Figure 2 tactic script.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from ..core.caching import TransformCache
 from ..core.config import Configuration
 from ..core.repair import RepairResult, RepairSession
 from ..core.search.swap import swap_configuration
@@ -41,10 +40,7 @@ def setup_environment() -> Environment:
     return env
 
 
-def run_scenario(
-    cache: Optional[TransformCache] = None,
-    whole_module: bool = True,
-) -> QuickstartScenario:
+def run_scenario(whole_module: bool = True) -> QuickstartScenario:
     """Repair ``rev_app_distr`` (and optionally the whole module)."""
     env = setup_environment()
     config = swap_configuration(env, "list", "New.list")
@@ -53,7 +49,6 @@ def run_scenario(
         config,
         old_globals=["list"],
         rename=lambda n: f"New.{n}",
-        cache=cache,
     )
     result = session.repair_constant("rev_app_distr")
     script = decompile_to_script(env, result.term)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.caching import TransformCache
 from ..core.repair import RepairResult, RepairSession
 from ..core.search.swap import swap_configuration
 from ..kernel.env import Environment
@@ -253,7 +252,6 @@ def run_variant(
     order: Optional[Sequence[str]],
     renames: Dict[str, str],
     index: int,
-    cache: Optional[TransformCache] = None,
     mapping: Optional[Sequence[int]] = None,
 ) -> ReplicaVariant:
     """Declare a variant type and repair the whole development onto it."""
@@ -265,7 +263,6 @@ def run_variant(
         config,
         old_globals=["Old.Term"],
         rename=lambda n: f"New{index}.{n}",
-        cache=cache,
     )
     results = session.repair_module(
         ["eval", "eval_eq_true_or_false"]
@@ -276,7 +273,7 @@ def run_variant(
     )
 
 
-def run_scenario(cache: Optional[TransformCache] = None) -> List[ReplicaVariant]:
+def run_scenario() -> List[ReplicaVariant]:
     """Run every variant of the benchmark on a fresh environment."""
     env = setup_environment()
     variants = []
@@ -288,7 +285,6 @@ def run_scenario(cache: Optional[TransformCache] = None) -> List[ReplicaVariant]
                 order,
                 renames,
                 i,
-                cache=cache,
                 mapping=VARIANT_MAPPINGS.get(label),
             )
         )

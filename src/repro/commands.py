@@ -8,9 +8,11 @@ Pumpkin Pi is driven from Coq by vernacular commands::
 
 :class:`CommandSession` provides the same surface for this reproduction.
 Commands are plain strings; configurations found by ``Configure`` (or
-implicitly by ``Repair``) are cached per type pair, and the transformed
-subterm cache is shared across commands — matching the interactive
-workflow the industrial proof engineer used (Section 6.4).
+implicitly by ``Repair``) are cached per type pair, and so is the
+repair session, whose transformed-subterm cache is shared across the
+commands of that pair — matching the interactive workflow the
+industrial proof engineer used (Section 6.4).  Pairs never share a
+cache: its entries depend on the configuration.
 
 Supported commands::
 
@@ -50,7 +52,6 @@ from typing import Dict, List, Optional, Tuple
 from .analysis.diagnostics import Diagnostic, Severity
 from .analysis.scope import check_constant, check_environment
 from .analysis.tacticlint import lint_script
-from .core.caching import TransformCache
 from .core.config import ConfigError, Configuration
 from .core.repair import RepairError, RepairResult, RepairSession
 from .core.search import configure
@@ -105,7 +106,6 @@ class CommandSession:
 
     def __init__(self, env: Environment, store=None) -> None:
         self.env = env
-        self.cache = TransformCache()
         self._configs: Dict[Tuple[str, str], Configuration] = {}
         self._sessions: Dict[Tuple[str, str], RepairSession] = {}
         self.history: List[CommandResult] = []
@@ -188,7 +188,6 @@ class CommandSession:
                 self._get_config(a, b),
                 old_globals=[a],
                 rename=rename,
-                cache=self.cache,
             )
         return self._sessions[key]
 

@@ -25,8 +25,13 @@ one process-wide table — interned contexts
 the same binder chain hit without re-running the pruning walk, which
 used to be over half the transformer's cost.  A key is a pure function
 of an arena term and an interned context, so every cache (and every
-job of a warm worker) shares the table; the stored transforms depend on
-the configuration and stay per cache.
+job of a warm worker) shares the table.  The stored transforms are not
+pure in the same way: they depend on the configuration and on the
+names the repair maps the old constants to, so a store is valid for
+one configuration and one naming (see
+:class:`~repro.core.repair.RepairSession`).  A warm worker keeps one
+store per resident configuration for the naming its jobs use
+(:class:`~repro.service.worker.ResidentConfig`).
 """
 
 from __future__ import annotations
@@ -73,7 +78,12 @@ def _build_key(term: Term, ctx: Context) -> Tuple:
 
 @dataclass
 class TransformCache:
-    """Memoizes transformed subterms, keyed by (term, relevant context)."""
+    """Memoizes transformed subterms, keyed by (term, relevant context).
+
+    The key leaves out the configuration and the constant map, so one
+    store serves one configuration under one naming: share it only
+    between repairs that map the same old constants to the same names.
+    """
 
     enabled: bool = True
     hits: int = 0

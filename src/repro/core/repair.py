@@ -69,7 +69,17 @@ class RepairResult:
 
 
 class RepairSession:
-    """Shared state for repairing a development across one equivalence."""
+    """Shared state for repairing a development across one equivalence.
+
+    Every term the session transforms has its dependencies repaired, and
+    so mapped in ``config.const_map``, first; its transformed subterms
+    then depend only on the configuration and on the session's naming
+    (``old_globals``, ``skip`` and ``rename``).  A ``cache`` passed in may
+    therefore be shared with sessions of the same configuration and
+    naming that start from the same declarations (a warm worker's jobs,
+    :class:`~repro.service.worker.ResidentConfig`), never across
+    configurations.  By default each session builds its own.
+    """
 
     def __init__(
         self,
@@ -97,7 +107,14 @@ class RepairSession:
     # -- Single definitions ---------------------------------------------------
 
     def repair_term(self, term: Term, expected_type: Optional[Term] = None) -> Term:
-        """Transform a closed term, check it, and verify old-type removal."""
+        """Transform a closed term, check it, and verify old-type removal.
+
+        The constants ``term`` mentions are repaired first, as
+        :meth:`repair_constant` repairs a declaration's dependencies, so
+        the transform maps each of them and the entries it stores in the
+        session's cache are the ones a later repair would compute.
+        """
+        self._repair_globals(collect_globals(term))
         with span("repair_term"):
             transformer = Transformer(self.env, self.config, cache=self.cache)
             result = transformer(term)
@@ -174,7 +191,15 @@ class RepairSession:
         decl = self.env.constant(name)
         if decl.body is None:
             raise RepairError(f"cannot repair bodyless constant {name!r}")
-        deps = collect_globals(decl.body) | collect_globals(decl.type)
+        self._repair_globals(
+            collect_globals(decl.body) | collect_globals(decl.type), name
+        )
+
+    def _repair_globals(
+        self, deps: Iterable[str], exclude: Optional[str] = None
+    ) -> None:
+        """Repair each of ``deps`` (but ``exclude``) that needs repair and
+        is not mapped yet, in declaration order."""
         # One pass over the declaration order instead of one `.index`
         # scan per dependency; setdefault keeps first-occurrence
         # positions, matching `.index` on duplicate names.
@@ -183,7 +208,7 @@ class RepairSession:
             order.setdefault(declared, i)
         fallback = len(order)
         for dep in sorted(deps, key=lambda n: order.get(n, fallback)):
-            if dep == name:
+            if dep == exclude:
                 continue
             if dep in self.config.const_map:
                 continue

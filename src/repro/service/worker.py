@@ -2,9 +2,11 @@
 
 A worker rebuilds its environment from the job's serialized module
 script (a dotted ``pkg.mod:fn`` reference to an environment builder),
-builds the configuration, repairs the target through a fresh
-:class:`~repro.core.repair.RepairSession`, and returns a JSON-ready
-record: the repaired term and type (pretty-printed), every constant the
+builds the configuration, repairs the target through a
+:class:`~repro.core.repair.RepairSession` of its own (which reads and
+fills the resident configuration's transform store; see
+:class:`ResidentConfig`), and returns a JSON-ready record: the
+repaired term and type (pretty-printed), every constant the
 session defined along the way (dependencies first — the replay order),
 the decompiled tactic script, a static-analysis report over the result,
 and the :class:`~repro.kernel.stats.KernelStats` delta the repair cost.
@@ -36,6 +38,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from ..core.caching import TransformCache
 from ..core.config import ConfigError, Configuration
 from ..core.repair import RepairError, RepairSession
 from ..kernel.env import EnvCheckpoint, EnvError, Environment
@@ -217,7 +220,39 @@ def build_record(
 
 @dataclass
 class ResidentConfig:
-    """The configuration a resident environment keeps between jobs."""
+    """The configuration a resident environment keeps between jobs.
+
+    It also keeps one transform store, valid for one *naming*: the
+    canonical JSON of the job's ``[old, skip, rename]``.  Every job with
+    that naming repairs through the store; a job with another naming
+    replaces it with a fresh one.  A hit is sound because a transformed
+    subterm is a function of the term, its pruned context (the store's
+    key), the configuration (this one object) and ``const_map``
+    restricted to the globals the term mentions, and nothing else a job
+    can vary:
+
+    1. The environment a matcher reads adds nothing.  Every transformed
+       term is the type or body of an old declaration, so it mentions
+       only declarations at :attr:`mark`, and every job starts from the
+       mark.  The B-side builders declare nothing during a transform:
+       ornament support and smart eliminators are declared at configure
+       time, before the mark.
+    2. The restricted ``const_map`` is fixed by the naming.  A session
+       repairs, and so maps, every dependency that needs repair before it
+       transforms a term that mentions it, and maps it to
+       ``rename(dep)``; which dependencies need repair is decided by
+       ``old``, ``skip``, the configuration's iota names and the mark.
+    3. A job's own target never occurs inside a term that job
+       transforms (the kernel admits no self-reference), so neither
+       ``target`` nor ``new_name`` reaches an entry, and jobs repairing
+       different targets under one naming share the store.
+    4. A ``dotted`` rename is assumed pure, as :attr:`RepairJob.key`
+       already assumes when it hashes the rename spec.
+
+    The store holds transforms of subterms of the declarations at the
+    mark, so it is bounded by them; a configuration rebuild, a refused
+    rollback or a re-boot drops it with this object.
+    """
 
     #: Canonical JSON of the job's ``config`` spec (the discipline of
     #: :attr:`RepairJob.key`): jobs with an equal key share this build.
@@ -228,6 +263,10 @@ class ResidentConfig:
     const_map: Dict[str, str]
     #: Taken right after the build; every job rolls back to it.
     mark: EnvCheckpoint
+    #: The naming (see above) whose jobs filled :attr:`transforms`.
+    naming: str
+    #: Transformed subterms, shared by every job with :attr:`naming`.
+    transforms: TransformCache
 
 
 @dataclass
@@ -273,7 +312,10 @@ def execute_warm(
     from a fresh copy of the built ``const_map`` and ends rolled back
     (success or failure) to the checkpoint taken after the build, so
     each job observes the state a fresh per-job boot and build would —
-    byte-identical results, which the digest-parity gates assert.  If a
+    byte-identical results, which the digest-parity gates assert.  A job
+    transforms through the resident configuration's store when its
+    naming matches the one that filled it, and through a fresh store
+    that then stays resident otherwise (see :class:`ResidentConfig`).  If a
     rollback refuses (the repair performed a destructive mutation the
     checkpoint cannot undo), the resident entry is dropped and the next
     job re-boots: refuse-don't-corrupt.
@@ -300,6 +342,11 @@ def execute_warm(
     else:
         env = entry.env
         job_boot = "warm"
+    naming = json.dumps(
+        [payload["old"], payload.get("skip") or [], payload.get("rename")],
+        sort_keys=True,
+        separators=(",", ":"),
+    )
     if entry.config is None:
         try:
             config = build_config(env, payload["config"])
@@ -307,9 +354,17 @@ def execute_warm(
             _restore(residents, setup, entry.boot)
             raise
         entry.config = ResidentConfig(
-            key, config, dict(config.const_map), env.checkpoint()
+            key,
+            config,
+            dict(config.const_map),
+            env.checkpoint(),
+            naming,
+            TransformCache(),
         )
     resident = entry.config
+    if resident.naming != naming:
+        resident.naming = naming
+        resident.transforms = TransformCache()
     config = resident.config
     config.const_map = dict(resident.const_map)
     try:
@@ -318,6 +373,7 @@ def execute_warm(
             config,
             old_globals=tuple(payload["old"]),
             rename=make_rename(payload.get("rename")),
+            cache=resident.transforms,
             skip=list(payload.get("skip") or ()) or None,
         )
         result = session.repair_constant(

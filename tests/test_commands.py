@@ -3,6 +3,8 @@
 import pytest
 
 from repro.commands import CommandError, CommandSession
+from repro.kernel.pretty import pretty
+from repro.kernel.term import mentions_global
 from repro.stdlib import declare_list_type, make_env
 
 
@@ -34,6 +36,21 @@ class TestRepairCommand:
     def test_usage_error(self, session):
         with pytest.raises(CommandError):
             session.execute("Repair list New.list rev_app_distr")
+
+    def test_each_type_pair_repairs_through_its_own_cache(self, session):
+        # A second equivalence out of ``list``: a transformed-subterm
+        # cache shared with the first pair would hand ``appO`` the
+        # ``New.list`` type the first pair's entries carry.
+        declare_list_type(session.env, "Other.list", swapped=True)
+        session.execute("Repair list New.list in app as appN")
+        session.execute("Repair list Other.list in app as appO")
+        env = make_env(lists=True, vectors=False)
+        declare_list_type(env, "Other.list", swapped=True)
+        CommandSession(env).execute("Repair list Other.list in app as appO")
+        warm, fresh = session.env.constant("appO"), env.constant("appO")
+        assert pretty(warm.type) == pretty(fresh.type)
+        assert pretty(warm.body) == pretty(fresh.body)
+        assert mentions_global(warm.type, "Other.list")
 
 
 class TestModuleAndLifecycle:

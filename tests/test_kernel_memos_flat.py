@@ -17,7 +17,10 @@ keys, closed ``pretty``) memoize into process-global tables, which must
 stop growing once every job has run.  Its kernel verdicts live in the
 resident's reduction cache, tagged with the declaration state they were
 derived in: a job that declares what an earlier job declared re-derives
-none of them, and the store stops growing once every job has run.
+none of them, and the store stops growing once every job has run.  Its
+transformed subterms live in the resident configuration's transform
+store, which jobs with one naming share: a steady job transforms
+nothing again, and the store stops growing too.
 """
 
 import importlib
@@ -136,6 +139,15 @@ def test_steady_warm_jobs_rederive_no_kernel_verdict(kernel_caches_on):
     assert _verdict_misses() == before
 
 
+def test_steady_warm_jobs_retransform_nothing(kernel_caches_on):
+    residents = {}
+    _warm_pass(residents)
+    counter = KERNEL_STATS.counter("transform_cache")
+    before = counter.misses
+    _warm_pass(residents)
+    assert counter.misses == before
+
+
 def test_distinct_targets_leave_the_reduction_cache_flat(kernel_caches_on):
     # Every quickstart constant over ``list``, each its own job; jobs
     # repairing different targets share the dependencies they declare.
@@ -158,7 +170,9 @@ def test_distinct_targets_leave_the_reduction_cache_flat(kernel_caches_on):
             payload = dict(job.payload(), target=target)
             assert execute_warm(residents, payload)["status"] == "ok"
         (resident,) = residents.values()
-        sizes.append(resident.env.reduction_cache.size)
+        sizes.append(
+            (resident.env.reduction_cache.size, resident.config.transforms.size)
+        )
         misses.append(_verdict_misses())
     assert sizes[1:] == sizes[:1] * 2
     assert misses[1:] == misses[:1] * 2

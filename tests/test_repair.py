@@ -5,6 +5,7 @@ import pytest
 from repro.core import RepairError, RepairSession, configure, repair, repair_module
 from repro.core.search.swap import swap_configuration
 from repro.kernel import Const, Context, check, mentions_global, typecheck_closed
+from repro.kernel.pretty import pretty
 from repro.stdlib import declare_list_type, make_env
 from repro.syntax.parser import parse
 
@@ -13,6 +14,14 @@ def fresh_env():
     env = make_env(lists=True, vectors=False)
     declare_list_type(env, "New.list", swapped=True)
     return env
+
+
+def _new_session(env):
+    """A ``list ~= New.list`` session renaming into ``New.``."""
+    config = swap_configuration(env, "list", "New.list")
+    return RepairSession(
+        env, config, old_globals=["list"], rename=lambda n: f"New.{n}"
+    )
 
 
 class TestRepairSingle:
@@ -53,6 +62,29 @@ class TestRepairSingle:
         session = RepairSession(env, config, old_globals=["list"])
         out = session.repair_term(parse(env, "list.cons nat 1 (list.nil nat)"))
         assert not mentions_global(out, "list")
+
+    def test_repair_term_repairs_what_the_term_mentions_first(self):
+        # ``rev``'s body calls ``app``: transformed before ``app`` was
+        # repaired, it kept ``app`` and failed to check.
+        env = fresh_env()
+        session = _new_session(env)
+        out = session.repair_term(env.constant("rev").body)
+        assert "app" in session.results
+        fresh = _new_session(fresh_env()).repair_constant("rev")
+        assert pretty(out) == pretty(fresh.term)
+
+    def test_repair_term_leaves_the_session_cache_sound(self):
+        # The entries ``repair_term`` stores are the ones a later repair
+        # of the same constant reads from the session's cache.
+        env = fresh_env()
+        session = _new_session(env)
+        session.repair_term(env.constant("rev").body)
+        result = session.repair_constant("rev")
+        fresh = _new_session(fresh_env()).repair_constant("rev")
+        assert (pretty(result.term), pretty(result.type)) == (
+            pretty(fresh.term),
+            pretty(fresh.type),
+        )
 
     def test_repair_bodyless_constant_fails(self):
         env = fresh_env()

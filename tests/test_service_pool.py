@@ -365,6 +365,22 @@ def _fresh_digest(payload):
     return result_digest(execute_warm({}, payload))
 
 
+def _outcome(residents, payload):
+    """The job's ``result_digest`` on ``residents``, or its error."""
+    record = worker.attempt_job(
+        lambda: execute_warm(residents, payload), payload, in_process=True
+    )
+    if record["status"] == "ok":
+        return result_digest(record)
+    return record["error"]
+
+
+def _transform_misses(record):
+    """The ``transform_cache`` lookups one job missed."""
+    tables = record["kernel_delta"]["tables"]
+    return tables.get("transform_cache", {}).get("misses", 0)
+
+
 def _count_builds(monkeypatch):
     """Record every configuration build ``execute_warm`` makes."""
     builds = []
@@ -466,6 +482,87 @@ class TestResidentConfiguration:
         record = execute_warm(residents, payload)
         assert record["env_boot"] == "warm"
         assert result_digest(record) == fresh
+
+    @pytest.mark.parametrize(
+        "sequence",
+        [("base", "alt", "base"), ("skip", "base"), ("base", "skip")],
+        ids=("rename-and-back", "skip-then-base", "base-then-skip"),
+    )
+    def test_naming_switches_match_a_fresh_resident(
+        self, monkeypatch, sequence
+    ):
+        # One configuration, three namings.  A transform store kept
+        # across a naming switch hands the next job entries that map
+        # ``app`` to another name (``New.app`` after the rollback dropped
+        # it) or leave it unmapped (the ``skip`` job fails to check).
+        base = _quickstart_job().payload()
+        namings = {
+            "base": base,
+            "alt": dict(base, rename={"kind": "prefix", "value": "Alt."}),
+            "skip": dict(base, skip=["app"]),
+        }
+        fresh = {name: _outcome({}, namings[name]) for name in sequence}
+        if "skip" in fresh:
+            assert fresh["skip"].startswith("TypeError_")
+        builds = _count_builds(monkeypatch)
+        residents = {}
+        outcomes = [_outcome(residents, namings[name]) for name in sequence]
+        assert outcomes == [fresh[name] for name in sequence]
+        assert len(builds) == 1
+
+    def test_jobs_with_one_naming_share_the_transform_store(self):
+        # The two binary jobs repair different targets under different
+        # ``new_name``s but one naming: the second reads the entries the
+        # first stored for ``add``, and from its second run on it misses
+        # nothing.
+        first, second = (
+            _six_case_payload(name)
+            for name in ("binary/slow_add", "binary/slow_add_n_Sm")
+        )
+        fresh = {}
+        for payload in (first, second):
+            record = execute_warm({}, payload)
+            fresh[payload["name"]] = (
+                result_digest(record),
+                _transform_misses(record),
+            )
+        residents = {}
+        misses, stores = [], set()
+        for _ in range(3):
+            for payload in (first, second):
+                record = execute_warm(residents, payload)
+                assert result_digest(record) == fresh[payload["name"]][0]
+                misses.append(_transform_misses(record))
+                stores.add(id(residents[first["setup"]].config.transforms))
+        assert 0 < misses[1] < fresh[second["name"]][1]
+        assert misses[2:] == [0] * 4
+        assert len(stores) == 1
+
+    def test_a_job_declares_only_its_repairs(self, monkeypatch):
+        # Every transformed term is the type or body of a declaration at
+        # the post-build mark: a matcher or B-side builder that declared
+        # during a transform would make the store's entries depend on
+        # the job that filled it.
+        declared = []
+        build = worker.build_record
+
+        def recording(env, session, *args, **kwargs):
+            declared.append(
+                (
+                    env.declaration_order(),
+                    [r.new_name for r in session.results.values()],
+                )
+            )
+            return build(env, session, *args, **kwargs)
+
+        monkeypatch.setattr(worker, "build_record", recording)
+        residents = {}
+        for job in six_case_jobs():
+            payload = job.payload()
+            assert execute_warm(residents, payload)["status"] == "ok"
+            order, new_names = declared.pop()
+            mark = residents[payload["setup"]].config.mark
+            assert list(order[mark.depth:]) == new_names, job.name
 
 
 # -- The pool -----------------------------------------------------------------
