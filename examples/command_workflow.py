@@ -18,9 +18,9 @@ def main() -> None:
     script = """
     (* the Section 2 workflow, as vernacular *)
     Configure list New.list
-    Repair list New.list in rev_app_distr as New.rev_app_distr
-    Decompile New.rev_app_distr
-    Replay New.rev_app_distr
+    Repair list New.list in rev_app_distr as rev_app_distr_new
+    Decompile rev_app_distr_new
+    Replay rev_app_distr_new
     Repair module list New.list prefix New
     Remove list
     """

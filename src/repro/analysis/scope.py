@@ -55,6 +55,78 @@ def _error(
     )
 
 
+def _problem(env: Environment, t: Term, d: int) -> Optional[Tuple[str, str]]:
+    """The code and message of what is wrong with node ``t`` itself at
+    binder depth ``d``, or ``None``; its children are not looked at."""
+    if isinstance(t, Rel):
+        if t.index < 0 or t.index >= d:
+            return "RA001", f"Rel({t.index}) under {d} binder(s)"
+    elif isinstance(t, Sort):
+        if t.level < -1:
+            return "RA002", f"sort level {t.level} (expected >= -1)"
+    elif isinstance(t, Const):
+        if not env.has_constant(t.name):
+            return "RA003", f"unknown constant {t.name!r}"
+    elif isinstance(t, Ind):
+        if not env.has_inductive(t.name):
+            return "RA004", f"unknown inductive {t.name!r}"
+    elif isinstance(t, Constr):
+        if not env.has_inductive(t.ind):
+            return "RA004", f"constructor of unknown inductive {t.ind!r}"
+        declared = env.inductive(t.ind).n_constructors
+        if not 0 <= t.index < declared:
+            return (
+                "RA005",
+                f"constructor index {t.index} out of range for "
+                f"{t.ind!r} ({declared} declared)",
+            )
+    elif isinstance(t, Elim):
+        if not env.has_inductive(t.ind):
+            return "RA004", f"eliminator of unknown inductive {t.ind!r}"
+        declared = env.inductive(t.ind).n_constructors
+        if len(t.cases) != declared:
+            return (
+                "RA006",
+                f"eliminator of {t.ind!r} has {len(t.cases)} "
+                f"case(s); declaration has {declared} constructor(s)",
+            )
+    return None
+
+
+def _clean(env: Environment, term: Term, depth: int) -> bool:
+    """True when the tree walk of ``term`` at ``depth`` reports nothing.
+
+    A node's checks read only the node and its binder depth, and so do
+    its children's depths, so visiting each distinct ``(node, depth)``
+    pair once answers for every path that reaches it: a shared subterm
+    is walked once per depth it occurs at, not once per occurrence.
+    """
+    seen = set()
+    stack: List[Tuple[Term, int]] = [(term, depth)]
+    while stack:
+        t, d = stack.pop()
+        key = (id(t), d)
+        if key in seen:
+            continue
+        seen.add(key)
+        if isinstance(t, App):
+            stack.append((t.fn, d))
+            stack.append((t.arg, d))
+        elif isinstance(t, Lam):
+            stack.append((t.domain, d))
+            stack.append((t.body, d + 1))
+        elif isinstance(t, Pi):
+            stack.append((t.domain, d))
+            stack.append((t.codomain, d + 1))
+        elif _problem(env, t, d) is not None:
+            return False
+        elif isinstance(t, Elim):
+            stack.append((t.motive, d))
+            stack.extend((case, d) for case in t.cases)
+            stack.append((t.scrut, d))
+    return True
+
+
 def check_term(
     env: Environment,
     term: Term,
@@ -62,73 +134,23 @@ def check_term(
     subject: str = "",
     path: Tuple[str, ...] = (),
 ) -> List[Diagnostic]:
-    """Linearly check ``term`` with ``depth`` enclosing binders."""
+    """Linearly check ``term`` with ``depth`` enclosing binders.
+
+    A first pass (:func:`_clean`) decides whether anything is wrong;
+    only then does the tree walk run, which reports every finding with
+    its path, in the walk's order.
+    """
+    if _clean(env, term, depth):
+        return []
     out: List[Diagnostic] = []
     stack: List[Tuple[Term, int, Tuple[str, ...]]] = [(term, depth, path)]
     while stack:
         t, d, p = stack.pop()
-        if isinstance(t, Rel):
-            if t.index < 0 or t.index >= d:
-                out.append(
-                    _error(
-                        "RA001",
-                        f"Rel({t.index}) under {d} binder(s)",
-                        subject,
-                        p,
-                    )
-                )
-        elif isinstance(t, Sort):
-            if t.level < -1:
-                out.append(
-                    _error(
-                        "RA002",
-                        f"sort level {t.level} (expected >= -1)",
-                        subject,
-                        p,
-                    )
-                )
-        elif isinstance(t, Const):
-            if not env.has_constant(t.name):
-                out.append(
-                    _error(
-                        "RA003",
-                        f"unknown constant {t.name!r}",
-                        subject,
-                        p,
-                    )
-                )
-        elif isinstance(t, Ind):
-            if not env.has_inductive(t.name):
-                out.append(
-                    _error(
-                        "RA004",
-                        f"unknown inductive {t.name!r}",
-                        subject,
-                        p,
-                    )
-                )
-        elif isinstance(t, Constr):
-            if not env.has_inductive(t.ind):
-                out.append(
-                    _error(
-                        "RA004",
-                        f"constructor of unknown inductive {t.ind!r}",
-                        subject,
-                        p,
-                    )
-                )
-            elif not 0 <= t.index < env.inductive(t.ind).n_constructors:
-                out.append(
-                    _error(
-                        "RA005",
-                        f"constructor index {t.index} out of range for "
-                        f"{t.ind!r} "
-                        f"({env.inductive(t.ind).n_constructors} declared)",
-                        subject,
-                        p,
-                    )
-                )
-        elif isinstance(t, App):
+        problem = _problem(env, t, d)
+        if problem is not None:
+            rendering = pretty(t, env=env) if isinstance(t, Elim) else None
+            out.append(_error(*problem, subject, p, rendering=rendering))
+        if isinstance(t, App):
             stack.append((t.fn, d, p + ("fn",)))
             stack.append((t.arg, d, p + ("arg",)))
         elif isinstance(t, Lam):
@@ -138,30 +160,6 @@ def check_term(
             stack.append((t.domain, d, p + ("domain",)))
             stack.append((t.codomain, d + 1, p + ("codomain",)))
         elif isinstance(t, Elim):
-            if not env.has_inductive(t.ind):
-                out.append(
-                    _error(
-                        "RA004",
-                        f"eliminator of unknown inductive {t.ind!r}",
-                        subject,
-                        p,
-                        rendering=pretty(t, env=env),
-                    )
-                )
-            else:
-                decl = env.inductive(t.ind)
-                if len(t.cases) != decl.n_constructors:
-                    out.append(
-                        _error(
-                            "RA006",
-                            f"eliminator of {t.ind!r} has {len(t.cases)} "
-                            f"case(s); declaration has "
-                            f"{decl.n_constructors} constructor(s)",
-                            subject,
-                            p,
-                            rendering=pretty(t, env=env),
-                        )
-                    )
             stack.append((t.motive, d, p + ("motive",)))
             for j, case in enumerate(t.cases):
                 stack.append((case, d, p + (f"case[{j}]",)))

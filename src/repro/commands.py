@@ -8,11 +8,13 @@ Pumpkin Pi is driven from Coq by vernacular commands::
 
 :class:`CommandSession` provides the same surface for this reproduction.
 Commands are plain strings; configurations found by ``Configure`` (or
-implicitly by ``Repair``) are cached per type pair, and so is the
-repair session, whose transformed-subterm cache is shared across the
-commands of that pair — matching the interactive workflow the
-industrial proof engineer used (Section 6.4).  Pairs never share a
-cache: its entries depend on the configuration.
+implicitly by ``Repair``) are cached per type pair, and repair sessions
+per type pair and rename, whose transformed-subterm cache is shared
+across the commands that use them — matching the interactive workflow
+the industrial proof engineer used (Section 6.4).  Two sessions never
+share a cache: its entries depend on the configuration and on the names
+repaired constants get.  ``Configure`` drops the pair's sessions with
+the configuration it replaces.
 
 Supported commands::
 
@@ -101,13 +103,22 @@ class CommandResult:
         return self.summary
 
 
+def _rename_spec(prefix: Optional[str] = None) -> Dict[str, str]:
+    """The rename spec (see :func:`repro.service.worker.make_rename`) of
+    a ``prefix`` clause, ``prefix.name``; ``name'`` without one."""
+    if prefix:
+        return {"kind": "prefix", "value": f"{prefix}."}
+    return {"kind": "suffix", "value": "'"}
+
+
 class CommandSession:
     """An interactive session of repair commands over one environment."""
 
     def __init__(self, env: Environment, store=None) -> None:
         self.env = env
         self._configs: Dict[Tuple[str, str], Configuration] = {}
-        self._sessions: Dict[Tuple[str, str], RepairSession] = {}
+        #: Keyed by type pair and rename spec (kind, value).
+        self._sessions: Dict[Tuple[str, str, str, str], RepairSession] = {}
         self.history: List[CommandResult] = []
         #: Optional :class:`repro.service.ResultStore` backing
         #: ``Repair Batch`` (no persistence when unset).
@@ -180,14 +191,24 @@ class CommandSession:
             self._configs[key] = configure(self.env, a, b, mapping=mapping)
         return self._configs[key]
 
-    def _get_session(self, a: str, b: str, rename) -> RepairSession:
-        key = (a, b)
+    def _get_session(
+        self, a: str, b: str, rename: Dict[str, str]
+    ) -> RepairSession:
+        """The pair's repair session for the rename spec ``rename``.
+
+        A session names every constant it repairs with its own rename,
+        so a command that renames otherwise gets a session of its own;
+        the pair's sessions share its configuration.
+        """
+        key = (a, b, rename["kind"], rename["value"])
         if key not in self._sessions:
+            from .service.worker import make_rename
+
             self._sessions[key] = RepairSession(
                 self.env,
                 self._get_config(a, b),
                 old_globals=[a],
-                rename=rename,
+                rename=make_rename(rename),
             )
         return self._sessions[key]
 
@@ -204,6 +225,10 @@ class CommandSession:
             mapping = tuple(int(w) for w in words[3:])
         config = configure(self.env, a, b, mapping=mapping)
         self._configs[(a, b)] = config
+        # The pair's sessions repair through the configuration this one
+        # replaces; later commands start sessions over the new one.
+        for key in [key for key in self._sessions if key[:2] == (a, b)]:
+            del self._sessions[key]
         return CommandResult(
             command=command,
             summary=f"configured {a} ~= {b}"
@@ -219,7 +244,7 @@ class CommandSession:
         new_name = None
         if len(words) >= 6 and words[4] == "as":
             new_name = words[5]
-        session = self._get_session(a, b, rename=lambda n: f"{n}'")
+        session = self._get_session(a, b, _rename_spec())
         result = session.repair_constant(name, new_name=new_name)
         return CommandResult(
             command=command,
@@ -236,10 +261,7 @@ class CommandSession:
         prefix = None
         if len(words) >= 4 and words[2] == "prefix":
             prefix = words[3]
-        rename = (
-            (lambda n: f"{prefix}.{n}") if prefix else (lambda n: f"{n}'")
-        )
-        session = self._get_session(a, b, rename=rename)
+        session = self._get_session(a, b, _rename_spec(prefix))
         results = session.repair_module()
         return CommandResult(
             command=command,
@@ -276,14 +298,9 @@ class CommandSession:
         from .service.live import live_jobs, run_live_batch
         from .service.planner import build_batch_impact, verify_impact
         from .service.scheduler import BatchOptions
-        from .service.worker import make_rename
 
-        rename_spec = (
-            {"kind": "prefix", "value": f"{prefix}."}
-            if prefix
-            else {"kind": "suffix", "value": "'"}
-        )
-        session = self._get_session(a, b, rename=make_rename(rename_spec))
+        rename_spec = _rename_spec(prefix)
+        session = self._get_session(a, b, rename_spec)
         try:
             jobs = live_jobs(self.env, a, b, targets, rename=rename_spec)
             impact = (

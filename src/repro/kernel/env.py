@@ -252,6 +252,17 @@ class Environment:
         """
         return self._revision
 
+    @property
+    def declaration_state(self) -> object:
+        """The tip of this environment's chain of declaration states.
+
+        An opaque, identity-hashed token (see :class:`ReductionCache`):
+        two environments at one state hold identical declarations, so a
+        memo over a term and the declarations it is read against may key
+        on it.  Holding the token keeps the state's trie node alive.
+        """
+        return self.reduction_cache._chain[-1]
+
     # -- Lookup -------------------------------------------------------------
 
     def has_constant(self, name: str) -> bool:

@@ -91,6 +91,8 @@ class KernelStats:
       ``nf`` (reduction cache), ``conv`` (conversion), ``infer``
       (type inference), ``check`` (bidirectional verdict memo),
       ``transform_cache`` (the Figure-10 transformer's subterm cache),
+      ``report_cache`` (a warm worker's decompiled scripts and scope
+      reports),
       ``eta_expand`` (the transformer's fused binder eta pass),
       ``globals`` (memoized :func:`~repro.kernel.term.collect_globals`);
     * one :class:`EventCounter` per named event, created on demand by

@@ -5,7 +5,8 @@ script (a dotted ``pkg.mod:fn`` reference to an environment builder),
 builds the configuration, repairs the target through a
 :class:`~repro.core.repair.RepairSession` of its own (which reads and
 fills the resident configuration's transform store; see
-:class:`ResidentConfig`), and returns a JSON-ready record: the
+:class:`ResidentConfig`), and returns a JSON-ready record (whose report
+a warm job reads from the resident report store when it can): the
 repaired term and type (pretty-printed), every constant the
 session defined along the way (dependencies first — the replay order),
 the decompiled tactic script, a static-analysis report over the result,
@@ -36,7 +37,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.caching import TransformCache
 from ..core.config import ConfigError, Configuration
@@ -138,19 +139,31 @@ def make_rename(
 
 
 def _stats_snapshot() -> Dict[str, Any]:
-    return KERNEL_STATS.snapshot()
+    """The raw kernel counters, as :func:`_stats_delta` reads them.
+
+    Cheaper than :meth:`KernelStats.snapshot`, which rounds every hit
+    rate and sorts every table; a job takes two of these.
+    """
+    stats = KERNEL_STATS
+    return {
+        "constructions": stats.constructions,
+        "intern_hits": stats.intern_hits,
+        "tables": {
+            name: (c.hits, c.misses) for name, c in stats.tables.items()
+        },
+    }
+
 
 def _stats_delta(
     before: Dict[str, Any], after: Dict[str, Any]
 ) -> Dict[str, Any]:
     """The JSON-ready counter movement between two snapshots."""
     tables: Dict[str, Dict[str, int]] = {}
-    after_tables: Dict[str, Dict[str, int]] = after["tables"]
-    before_tables: Dict[str, Dict[str, int]] = before["tables"]
-    for name, counts in after_tables.items():
-        base = before_tables.get(name, {"hits": 0, "misses": 0})
-        hits = counts["hits"] - base["hits"]
-        misses = counts["misses"] - base["misses"]
+    before_tables: Dict[str, Tuple[int, int]] = before["tables"]
+    for name, (hits, misses) in sorted(after["tables"].items()):
+        base_hits, base_misses = before_tables.get(name, (0, 0))
+        hits -= base_hits
+        misses -= base_misses
         if hits or misses:
             tables[name] = {"hits": hits, "misses": misses}
     return {
@@ -158,14 +171,6 @@ def _stats_delta(
         "intern_hits": after["intern_hits"] - before["intern_hits"],
         "tables": tables,
     }
-
-
-def _analysis_report(env: Environment, name: str) -> List[Dict[str, Any]]:
-    from ..analysis.scope import check_constant
-
-    return [
-        d.to_dict() for d in check_constant(env, env.constant(name))
-    ]
 
 
 def _decompiled(env: Environment, result_name: str, term: Any) -> Optional[str]:
@@ -178,6 +183,50 @@ def _decompiled(env: Environment, result_name: str, term: Any) -> Optional[str]:
         return None
 
 
+#: Mirrors every report-store lookup, as ``transform_cache`` mirrors the
+#: transform store's.
+_REPORT_COUNTER = KERNEL_STATS.counter("report_cache")
+#: Bound on one report store, cleared wholesale at the cap (the
+#: discipline of the kernel's memo tables): a naming bounds its jobs'
+#: targets, but not the ``new_name``s they ask for.
+_REPORT_STORE_MAX = 1 << 12
+
+#: ``(id(term), name, declaration state)`` -> ``(term, script,
+#: diagnostics)``; the value pins the term, the key the state.
+ReportStore = Dict[Tuple[int, str, object], Tuple[Any, str, Tuple[Any, ...]]]
+
+
+def _report(
+    env: Environment,
+    name: str,
+    term: Any,
+    reports: Optional[ReportStore],
+) -> Tuple[Optional[str], List[Dict[str, Any]]]:
+    """The decompiled script and scope report of ``term`` defined as
+    ``name``: read from ``reports``, or made (and stored there).
+
+    The key's declaration state pins every declaration a report reads
+    (see :class:`ResidentConfig`).  A report whose decompile raised is
+    not stored: the error need not be a function of the key.
+    """
+    if reports is not None:
+        key = (id(term), name, env.declaration_state)
+        entry = reports.get(key)
+        if entry is not None:
+            _REPORT_COUNTER.hits += 1
+            return entry[1], [d.to_dict() for d in entry[2]]
+        _REPORT_COUNTER.misses += 1
+    from ..analysis.scope import check_constant
+
+    script = _decompiled(env, name, term)
+    diagnostics = tuple(check_constant(env, env.constant(name)))
+    if reports is not None and script is not None:
+        if len(reports) >= _REPORT_STORE_MAX:
+            reports.clear()
+        reports[key] = (term, script, diagnostics)
+    return script, [d.to_dict() for d in diagnostics]
+
+
 def build_record(
     env: Environment,
     session: RepairSession,
@@ -185,12 +234,18 @@ def build_record(
     before: Dict[str, Any],
     started: float,
     exclude: Optional[set] = None,
+    reports: Optional[ReportStore] = None,
 ) -> Dict[str, Any]:
     """The JSON-ready ``ok`` record for one finished repair.
 
     ``exclude`` filters out old names already accounted for by earlier
     jobs sharing the session (live batches), so ``defined`` lists only
     what *this* job added — dependencies first, the replay order.
+    ``reports`` is a resident configuration's report store (warm jobs
+    only; see :class:`ResidentConfig`): the ``script`` and ``analysis``
+    come from it when an earlier job reported the same term under the
+    same name at the same declaration state, and are made and stored
+    there otherwise.  Without a store (live batches) both are made.
     """
     defined = [
         {
@@ -202,14 +257,15 @@ def build_record(
         for r in session.results.values()
         if not exclude or r.old_name not in exclude
     ]
+    script, analysis = _report(env, result.new_name, result.term, reports)
     return {
         "status": "ok",
         "new_name": result.new_name,
         "term": pretty(result.term),
         "type": pretty(result.type),
-        "script": _decompiled(env, result.new_name, result.term),
+        "script": script,
         "defined": defined,
-        "analysis": _analysis_report(env, result.new_name),
+        "analysis": analysis,
         "kernel_delta": _stats_delta(before, _stats_snapshot()),
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
@@ -252,6 +308,18 @@ class ResidentConfig:
     The store holds transforms of subterms of the declarations at the
     mark, so it is bounded by them; a configuration rebuild, a refused
     rollback or a re-boot drops it with this object.
+
+    Next to it sits a report store (:data:`ReportStore`), replaced with
+    it: each job's decompiled ``script`` and scope ``analysis``, keyed
+    by the identity of the repaired term, the result name and the
+    environment's declaration state when the report is made.  A hit
+    needs no naming argument.  A report reads only its term, its name
+    and the environment's declarations; a declaration state pins
+    exactly those declarations (two environments at one state hold the
+    same objects); and a steady job, whose transforms are hits, declares
+    the very objects its predecessor declared, so it stands on the same
+    state as it and reuses its report.  The key pins the state, which
+    keeps its trie node alive.
     """
 
     #: Canonical JSON of the job's ``config`` spec (the discipline of
@@ -267,6 +335,9 @@ class ResidentConfig:
     naming: str
     #: Transformed subterms, shared by every job with :attr:`naming`.
     transforms: TransformCache
+    #: Reports of the jobs with :attr:`naming`, keyed by declaration
+    #: state; replaced whenever :attr:`transforms` is.
+    reports: ReportStore
 
 
 @dataclass
@@ -315,10 +386,13 @@ def execute_warm(
     byte-identical results, which the digest-parity gates assert.  A job
     transforms through the resident configuration's store when its
     naming matches the one that filled it, and through a fresh store
-    that then stays resident otherwise (see :class:`ResidentConfig`).  If a
-    rollback refuses (the repair performed a destructive mutation the
-    checkpoint cannot undo), the resident entry is dropped and the next
-    job re-boots: refuse-don't-corrupt.
+    that then stays resident otherwise (see :class:`ResidentConfig`).
+    Its ``script`` and ``analysis`` come from the resident report store
+    when an earlier job with its naming reported the same term under the
+    same name at the same declaration state, and are made and stored
+    there otherwise.  If a rollback refuses (the repair performed a
+    destructive mutation the checkpoint cannot undo), the resident entry
+    is dropped and the next job re-boots: refuse-don't-corrupt.
     """
     setup = payload["setup"]
     claimed = str(payload.get("env_fingerprint", ""))
@@ -360,11 +434,13 @@ def execute_warm(
             env.checkpoint(),
             naming,
             TransformCache(),
+            {},
         )
     resident = entry.config
     if resident.naming != naming:
         resident.naming = naming
         resident.transforms = TransformCache()
+        resident.reports = {}
     config = resident.config
     config.const_map = dict(resident.const_map)
     try:
@@ -379,7 +455,9 @@ def execute_warm(
         result = session.repair_constant(
             payload["target"], new_name=payload.get("new_name")
         )
-        record = build_record(env, session, result, before, started)
+        record = build_record(
+            env, session, result, before, started, reports=resident.reports
+        )
     finally:
         _restore(residents, setup, resident.mark)
     record["env_boot"] = job_boot

@@ -6,11 +6,13 @@ from repro.analysis import check_environment, check_inductive, check_term
 from repro.kernel.env import Environment
 from repro.kernel.inductive import ConstructorDecl, InductiveDecl
 from repro.kernel.term import (
+    App,
     Constr,
     Const,
     Elim,
     Ind,
     Lam,
+    Pi,
     Rel,
     Sort,
 )
@@ -134,3 +136,138 @@ class TestFuzz:
             codes = [d.code for d in check_term(env, mutated)]
             assert "RA006" in codes, (label, term, mutated)
         assert mutated_count >= 50
+
+
+# -- The (node, depth) pass against the tree walk ----------------------------
+
+
+def _tree_walk(env, term, depth=0):
+    """The tree walk alone: every finding, by path, in walk order.
+
+    What :func:`check_term` must return, whatever its first pass decides.
+    """
+    from repro.analysis.scope import _error, _problem
+    from repro.kernel.pretty import pretty
+
+    out = []
+    stack = [(term, depth, ())]
+    while stack:
+        t, d, p = stack.pop()
+        problem = _problem(env, t, d)
+        if problem is not None:
+            rendering = pretty(t, env=env) if isinstance(t, Elim) else None
+            out.append(_error(*problem, "", p, rendering=rendering))
+        if isinstance(t, App):
+            stack += [(t.fn, d, p + ("fn",)), (t.arg, d, p + ("arg",))]
+        elif isinstance(t, (Lam, Pi)):
+            inner = "body" if isinstance(t, Lam) else "codomain"
+            stack += [
+                (t.domain, d, p + ("domain",)),
+                (getattr(t, inner), d + 1, p + (inner,)),
+            ]
+        elif isinstance(t, Elim):
+            stack.append((t.motive, d, p + ("motive",)))
+            stack += [
+                (case, d, p + (f"case[{j}]",))
+                for j, case in enumerate(t.cases)
+            ]
+            stack.append((t.scrut, d, p + ("scrut",)))
+    return out
+
+
+#: Leaves the fuzz swaps in: out-of-range and negative ``Rel``s, an
+#: invalid sort, unknown globals and bad constructor indices.
+_BAD_LEAVES = (
+    Rel(5),
+    Rel(-1),
+    Sort(-2),
+    Const("no_such_constant"),
+    Ind("no_such_type"),
+    Constr("no_such_type", 0),
+    Constr("nat", 2),
+    Constr("nat", -1),
+)
+
+
+def _corrupt(rng, term, in_elim=False):
+    """``term`` with some leaves swapped for bad ones and some eliminators
+    given a wrong number of cases.
+
+    A negative ``Rel`` stays out of eliminators: the rendering a bad
+    eliminator's finding carries cannot print one.
+    """
+    if isinstance(term, App):
+        return App(
+            _corrupt(rng, term.fn, in_elim), _corrupt(rng, term.arg, in_elim)
+        )
+    if isinstance(term, (Lam, Pi)):
+        inner = "body" if isinstance(term, Lam) else "codomain"
+        return type(term)(
+            term.name,
+            _corrupt(rng, term.domain, in_elim),
+            _corrupt(rng, getattr(term, inner), in_elim),
+        )
+    if isinstance(term, Elim):
+        cases = tuple(_corrupt(rng, case, True) for case in term.cases)
+        roll = rng.random()
+        if roll < 0.15:
+            cases = cases[:-1]
+        elif roll < 0.3:
+            cases = cases + cases[:1]
+        return Elim(
+            term.ind,
+            _corrupt(rng, term.motive, True),
+            cases,
+            _corrupt(rng, term.scrut, True),
+        )
+    if rng.random() < 0.3:
+        leaf = rng.choice(_BAD_LEAVES)
+        return Rel(6) if in_elim and leaf == Rel(-1) else leaf
+    return term
+
+
+def _shared(term):
+    """``term`` at three depths, the same object each time: the outer
+    one, one binder deeper (visited first) and two deeper."""
+    return Pi("x", term, App(term, Lam("y", term, term)))
+
+
+class TestFirstPass:
+    """``check_term``'s first pass visits each distinct (node, depth) once
+    and only decides whether the tree walk runs."""
+
+    @pytest.mark.parametrize("binders", [0, 2])
+    def test_matches_the_tree_walk_on_generated_terms(self, env, binders):
+        import random
+
+        from repro.analysis.scope import _clean
+
+        rng = random.Random(24011)
+        checked = dirty = 0
+        for label, term in fuzz_terms(24010, 300, env, 4, binders):
+            for candidate in (term, _corrupt(rng, term)):
+                # Shared one binder out, a term scoped for ``binders``
+                # may be unbound at its outer depth only.
+                for t, depth in (
+                    (candidate, binders),
+                    (_shared(candidate), max(binders - 1, 0)),
+                ):
+                    expected = _tree_walk(env, t, depth)
+                    assert _clean(env, t, depth) == (not expected), label
+                    assert check_term(env, t, depth) == expected, label
+                    checked += 1
+                    dirty += bool(expected)
+        assert dirty >= 250 and checked - dirty >= 250
+
+    def test_a_shared_subterm_is_judged_at_each_depth(self, env):
+        # Rel(0) is unbound where the domain sits and bound one binder
+        # in: visiting the shared node once would miss one verdict.
+        from repro.analysis.scope import _clean
+
+        open_term = Lam("x", Rel(0), Rel(0))
+        assert _clean(env, Lam("y", Ind("nat"), open_term), 0)
+        shared = Pi("z", open_term, open_term)
+        assert not _clean(env, shared, 0)
+        assert [(d.code, d.path) for d in check_term(env, shared)] == [
+            ("RA001", ("domain", "domain"))
+        ]

@@ -5,6 +5,7 @@ import pytest
 from repro.commands import CommandError, CommandSession
 from repro.kernel.pretty import pretty
 from repro.kernel.term import mentions_global
+from repro.service.cases import replica_env
 from repro.stdlib import declare_list_type, make_env
 
 
@@ -51,6 +52,45 @@ class TestRepairCommand:
         assert pretty(warm.type) == pretty(fresh.type)
         assert pretty(warm.body) == pretty(fresh.body)
         assert mentions_global(warm.type, "Other.list")
+
+    def test_a_later_command_gets_its_own_rename(self, session):
+        # The first command's session names with a prime; a module
+        # repair that asks for ``P.`` must get it, as a fresh session
+        # does, not reuse the first session and its rename.
+        session.execute("Repair list New.list in app as appN")
+        warm = session.execute("Repair module list New.list prefix P")
+        env = make_env(lists=True, vectors=False)
+        declare_list_type(env, "New.list", swapped=True)
+        fresh = CommandSession(env).execute(
+            "Repair module list New.list prefix P"
+        )
+        assert _repaired(warm) == _repaired(fresh)
+        assert session.env.has_constant("P.rev")
+        assert not session.env.has_constant("rev'")
+
+    def test_configure_replaces_the_pairs_sessions(self):
+        # ``eval`` repairs differently under this mapping than under the
+        # one ``Repair`` finds: a session kept from before ``Configure``
+        # would repair (or return) it with the old configuration.
+        configure = "Configure Old.Term New0.Term mapping 0 2 1 4 3 5 6"
+        repair = "Repair Old.Term New0.Term in eval as EV"
+        session = CommandSession(replica_env())
+        session.execute("Repair Old.Term New0.Term in eval as EV0")
+        session.execute(configure)
+        warm = session.execute(repair)
+        fresh_session = CommandSession(replica_env())
+        fresh_session.execute(configure)
+        fresh = fresh_session.execute(repair)
+        assert _repaired(warm) == _repaired(fresh)
+        assert warm.config is session._configs[("Old.Term", "New0.Term")]
+
+
+def _repaired(result):
+    """What a repair command defined, printed."""
+    return [
+        (r.old_name, r.new_name, pretty(r.term), pretty(r.type))
+        for r in result.results
+    ]
 
 
 class TestModuleAndLifecycle:

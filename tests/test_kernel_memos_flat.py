@@ -20,7 +20,9 @@ derived in: a job that declares what an earlier job declared re-derives
 none of them, and the store stops growing once every job has run.  Its
 transformed subterms live in the resident configuration's transform
 store, which jobs with one naming share: a steady job transforms
-nothing again, and the store stops growing too.
+nothing again, and the store stops growing too.  So does the report
+store beside it: a steady job stands on its predecessor's declaration
+state and reuses its decompiled script and scope report.
 """
 
 import importlib
@@ -148,6 +150,23 @@ def test_steady_warm_jobs_retransform_nothing(kernel_caches_on):
     assert counter.misses == before
 
 
+def test_steady_warm_jobs_reuse_every_report(kernel_caches_on):
+    residents = {}
+    _warm_pass(residents)
+    counter = KERNEL_STATS.counter("report_cache")
+
+    def state():
+        sizes = sorted(len(r.config.reports) for r in residents.values())
+        return counter.misses, sizes
+
+    before = state()
+    for _ in range(2):
+        hits = counter.hits
+        _warm_pass(residents)
+        assert state() == before
+        assert counter.hits - hits == len(six_case_jobs())
+
+
 def test_distinct_targets_leave_the_reduction_cache_flat(kernel_caches_on):
     # Every quickstart constant over ``list``, each its own job; jobs
     # repairing different targets share the dependencies they declare.
@@ -171,7 +190,11 @@ def test_distinct_targets_leave_the_reduction_cache_flat(kernel_caches_on):
             assert execute_warm(residents, payload)["status"] == "ok"
         (resident,) = residents.values()
         sizes.append(
-            (resident.env.reduction_cache.size, resident.config.transforms.size)
+            (
+                resident.env.reduction_cache.size,
+                resident.config.transforms.size,
+                len(resident.config.reports),
+            )
         )
         misses.append(_verdict_misses())
     assert sizes[1:] == sizes[:1] * 2

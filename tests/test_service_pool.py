@@ -1,5 +1,6 @@
 """The framed worker protocol and the worker pool."""
 
+import importlib
 import json
 import os
 import signal
@@ -20,8 +21,10 @@ from repro.service import (
     run_batch,
 )
 from repro.core.config import ConfigError
+from repro.core.repair import RepairSession
 from repro.core.search import configure
-from repro.kernel.term import Const, Constr
+from repro.kernel.inductive import ConstructorDecl, InductiveDecl
+from repro.kernel.term import Const, Constr, Sort
 from repro.service import worker
 from repro.service.job import fingerprint_source, result_digest
 from repro.service.cases import six_case_jobs
@@ -366,12 +369,13 @@ def _fresh_digest(payload):
 
 
 def _outcome(residents, payload):
-    """The job's ``result_digest`` on ``residents``, or its error."""
+    """The job's ``result_digest``, ``script`` and ``analysis`` on
+    ``residents``, or its error."""
     record = worker.attempt_job(
         lambda: execute_warm(residents, payload), payload, in_process=True
     )
     if record["status"] == "ok":
-        return result_digest(record)
+        return result_digest(record), record["script"], record["analysis"]
     return record["error"]
 
 
@@ -494,7 +498,9 @@ class TestResidentConfiguration:
         # One configuration, three namings.  A transform store kept
         # across a naming switch hands the next job entries that map
         # ``app`` to another name (``New.app`` after the rollback dropped
-        # it) or leave it unmapped (the ``skip`` job fails to check).
+        # it) or leave it unmapped (the ``skip`` job fails to check); a
+        # report store kept across it would hand back a script that
+        # names the other naming's constants.
         base = _quickstart_job().payload()
         namings = {
             "base": base,
@@ -563,6 +569,65 @@ class TestResidentConfiguration:
             order, new_names = declared.pop()
             mark = residents[payload["setup"]].config.mark
             assert list(order[mark.depth:]) == new_names, job.name
+
+
+class TestReportStore:
+    """A resident configuration's report store: reused only where a
+    fresh report would read the same declarations."""
+
+    def test_a_report_is_reused_only_at_its_declaration_state(self):
+        # One repaired term object, reported before and after an
+        # inductive whose constructor ``S`` makes the script's ``S``
+        # ambiguous, so the printer must qualify it the second time.
+        env = build_environment(QUICKSTART_SETUP)
+        session = RepairSession(
+            env, configure(env, "list", "New.list"), ["list"]
+        )
+        result = session.repair_constant("length")
+        reports = {}
+
+        def report(store):
+            record = worker.build_record(
+                env, session, result, worker._stats_snapshot(), 0.0,
+                reports=store,
+            )
+            return record["script"], record["analysis"]
+
+        first = report(reports)
+        assert first == report(None)
+        assert "exact (S IH)" in first[0]
+        assert report(reports) == first
+        env.declare_inductive(
+            InductiveDecl(
+                "Dup", (), (), Sort(0), (ConstructorDecl("S", ()),)
+            )
+        )
+        second = report(reports)
+        assert second == report(None)
+        assert "exact (nat.S IH)" in second[0]
+        assert len(reports) == 2
+
+    def test_a_report_whose_decompile_raised_is_not_stored(
+        self, monkeypatch
+    ):
+        payload = _quickstart_job().payload()
+        fresh = execute_warm({}, payload)
+        decompiler = importlib.import_module("repro.decompile.decompiler")
+
+        def failing(env, term, ctx=None):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        residents = {}
+        with monkeypatch.context() as patch:
+            patch.setattr(decompiler, "decompile_to_script", failing)
+            record = execute_warm(residents, payload)
+        assert record["script"] is None
+        assert record["analysis"] == fresh["analysis"]
+        reports = residents[payload["setup"]].config.reports
+        assert reports == {}
+        record = execute_warm(residents, payload)
+        assert record["script"] == fresh["script"] is not None
+        assert len(reports) == 1
 
 
 # -- The pool -----------------------------------------------------------------
