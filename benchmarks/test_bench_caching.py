@@ -143,6 +143,5 @@ def test_kernel_layer_ablation(rows):
         f"{both_off * 1000:.0f}ms "
         f"({both_off / max(both_on, 1e-9):.1f}x)",
     )
-    # The layers must never make repair slower; the CI smoke job tracks
-    # the actual multiplier in BENCH_kernel.json.
+    # The layers must never make repair slower.
     assert both_on < both_off

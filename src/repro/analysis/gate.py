@@ -18,8 +18,8 @@ When on:
   error-severity finding.
 
 Both hooks record their wall time through the tracer (span
-``"analyze"``), so benchmark reports pick the analysis cost up as a
-phase.  The passes themselves are imported only once a gate is on: the
+``"analyze"``), so a traced run attributes the analysis cost to its
+own span.  The passes themselves are imported only once a gate is on: the
 repair pipeline imports this module, and with the gate off it loads no
 pass.
 """

@@ -8,8 +8,7 @@ cache; it can be disabled (the paper exposes the same switch) and it
 counts hits and misses so the caching ablation benchmark can report its
 effect.  Lookups are mirrored into the process-wide
 :data:`~repro.kernel.stats.KERNEL_STATS` table ``transform_cache`` so
-tracing spans and the pipeline bench report the hit rate alongside the
-kernel's own caches.
+tracing spans report the hit rate alongside the kernel's own caches.
 
 Keys are built by :meth:`TransformCache.key_for`, which *prunes* the
 context component down to a prefix covering the entries the term can

@@ -83,7 +83,7 @@ class _Printer:
 
     def pp(self, term: Term, names: List[str], prec: int) -> str:
         if isinstance(term, Rel):
-            if term.index < len(names):
+            if 0 <= term.index < len(names):
                 return names[term.index]
             return f"_rel{term.index - len(names)}"
 

@@ -26,9 +26,8 @@ performance.  It is switched on either by the environment variable
 programmatically with :func:`set_tracing`.
 
 Export formats live in :mod:`repro.obs.export`: Chrome trace-event JSON
-(load it in ``chrome://tracing`` / Perfetto) and a flat per-phase
-summary consumed by ``benchmarks/bench_pipeline_report.py`` and the CI
-regression gate.
+(load it in ``chrome://tracing`` / Perfetto); :func:`summarize_spans`
+is the flat per-phase view of the same spans.
 """
 
 from __future__ import annotations
@@ -282,9 +281,8 @@ def summarize_spans(spans: Iterable[Span]) -> Dict[str, Dict[str, Any]]:
     """Aggregate spans by name into flat per-phase entries.
 
     Per phase: invocation count, total wall time, summed kernel counter
-    deltas with recomputed hit rates, and the max of every gauge.  This
-    is the flat shape the bench reports and the CI regression gate
-    consume; it works on any span collection — the whole tracer
+    deltas with recomputed hit rates, and the max of every gauge.  It
+    works on any span collection — the whole tracer
     (:meth:`Tracer.phase_summary`) or one subtree (:meth:`Span.walk`).
     """
     phases: Dict[str, Dict[str, Any]] = {}

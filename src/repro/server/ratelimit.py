@@ -12,8 +12,8 @@ pruned on the way through, so the table is bounded by the *active*
 client set, not by everyone ever seen — a server meant to stay up for
 weeks cannot leak a dict entry per curl invocation.
 
-``rate <= 0`` disables limiting (the load bench's accounting mode);
-the health and metrics probes are exempted by the app layer, never
+``rate <= 0`` disables limiting (CI and the benchmark run the server
+that way); the health and metrics probes are exempted by the app layer, never
 here — this module does not know what a route is.
 """
 

@@ -30,8 +30,8 @@ This package turns :mod:`repro.core.repair` into a job service:
 * :mod:`~repro.service.planner` — change-impact plans for the
   scheduler (prune certified-unaffected jobs; differential soundness
   gate) over :mod:`repro.analysis.impact`;
-* :mod:`~repro.service.synth` — deterministic synthetic wide
-  environments for impact benchmarks.
+* :mod:`~repro.service.synth` — a deterministic synthetic wide
+  environment for the change-impact tests.
 """
 
 from .faults import CRASH_EXIT_CODE, FaultInjected, FaultPlan, JobTimeout, WorkerCrash

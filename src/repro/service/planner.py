@@ -19,7 +19,7 @@ the ``impact``/``no-impact`` keyword of ``Repair Batch``):
   every job the plan *would* have skipped produced a term and type
   byte-identical to the original declaration (compared through the
   digests recorded in the plan).  This differential run is the
-  soundness gate CI and the bench execute.
+  soundness gate CI's impact job executes.
 
 A plan whose fingerprint disagrees with a job's ``env_fingerprint`` is
 never consulted — a stale plan can cost time (the job runs), never

@@ -1,17 +1,17 @@
-"""Synthetic wide environments for impact benchmarks and soak tests.
+"""A synthetic wide environment for the change-impact tests.
 
 A termgen-style generator in spirit, but deterministic and importable
 by hermetic subprocess workers (it lives in ``src``, not ``tests``):
-the quickstart list development plus a long chain of ``nat``
-arithmetic definitions that never touch ``list``.  Against the
-quickstart configuration (``list`` → ``New.list``) almost every
-definition is provably unaffected — the shape the change-impact
-planner exists for, and the shape real developments have (one type
-changes; most of the library doesn't care).
+the quickstart list development plus a chain of ``nat`` arithmetic
+definitions that never touch ``list``.  Against the quickstart
+configuration (``list`` → ``New.list``) almost every definition is
+provably unaffected — the shape the change-impact planner exists for,
+and the shape real developments have (one type changes; most of the
+library doesn't care).
 
-``wide.d0 = S O``, ``wide.d{i} = add wide.d{i-1} (S O)`` — a chain, so
-the reverse-dependency graph is deep as well as wide and the taint
-fixpoint's transitive reasoning is actually exercised.
+``wide.d0 = add (S O) (S O)``, ``wide.d{i} = add wide.d{i-1} (S O)`` —
+a chain, so the reverse-dependency graph is deep as well as wide and
+the taint fixpoint's transitive reasoning is actually exercised.
 """
 
 from __future__ import annotations
@@ -21,63 +21,42 @@ from typing import Any, Dict, List
 from ..kernel.env import Environment
 from .job import RepairJob, fingerprint_source
 
-_HERE = "repro.service.synth"
+SETUP = "repro.service.synth:wide_env"
 
-#: Unaffected chain length of the benchmark environment.
-WIDE_WIDTH = 48
+#: Length of the unaffected ``wide.d*`` chain.
+CHAIN_LENGTH = 10
 
-#: Chain length of the small variant (fast tests).
-SMALL_WIDTH = 10
-
-#: Affected targets every wide batch repairs alongside the chain.
+#: Affected targets the wide batch repairs alongside the chain.
 AFFECTED_TARGETS = ("rev", "app", "rev_app_distr")
 
 
-def _build_wide(width: int) -> Environment:
+def wide_env() -> Environment:
+    """Quickstart plus the ``nat`` chain."""
     from ..cases.quickstart import setup_environment
     from ..syntax.parser import parse
 
     env = setup_environment()
     previous = "(S O)"
-    for i in range(width):
+    for i in range(CHAIN_LENGTH):
         name = f"wide.d{i}"
         env.define(name, parse(env, f"add {previous} (S O)"))
         previous = name
     return env
 
 
-def wide_env() -> Environment:
-    """The benchmark environment: quickstart + a 48-link nat chain."""
-    return _build_wide(WIDE_WIDTH)
-
-
-def wide_env_small() -> Environment:
-    """A 10-link variant for fast tests."""
-    return _build_wide(SMALL_WIDTH)
-
-
-def _setup_ref(small: bool) -> str:
-    return f"{_HERE}:wide_env_small" if small else f"{_HERE}:wide_env"
-
-
-def wide_jobs(
-    small: bool = False, fingerprint: bool = True
-) -> List[RepairJob]:
+def wide_jobs() -> List[RepairJob]:
     """One job per chain definition plus the affected quickstart targets.
 
     Every job repairs against the quickstart configuration, so a sound
     impact plan certifies exactly the ``wide.d*`` chain unaffected and
     the ``list``-involved targets not.
     """
-    setup = _setup_ref(small)
-    width = SMALL_WIDTH if small else WIDE_WIDTH
-    env_fingerprint = fingerprint_source(setup) if fingerprint else ""
-    jobs: List[RepairJob] = []
+    env_fingerprint = fingerprint_source(SETUP)
 
     def spec(target: str) -> Dict[str, Any]:
         return {
             "name": f"wide/{target}",
-            "setup": setup,
+            "setup": SETUP,
             "target": target,
             "config": {"kind": "auto", "a": "list", "b": "New.list"},
             "old": ["list"],
@@ -85,10 +64,6 @@ def wide_jobs(
             "env_fingerprint": env_fingerprint,
         }
 
-    for i in range(width):
-        jobs.append(
-            RepairJob.from_dict(spec(f"wide.d{i}"), where=f"wide.d{i}")
-        )
-    for target in AFFECTED_TARGETS:
-        jobs.append(RepairJob.from_dict(spec(target), where=target))
-    return jobs
+    targets = [f"wide.d{i}" for i in range(CHAIN_LENGTH)]
+    targets.extend(AFFECTED_TARGETS)
+    return [RepairJob.from_dict(spec(t), where=t) for t in targets]

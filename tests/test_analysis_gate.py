@@ -137,12 +137,13 @@ class TestRepairGate:
         assert result == Const("hidden_old_ref")
 
     def test_repair_module_is_byte_identical_with_gate_on(self, analyze):
+        names = ["app", "rev", "length", "map"]
         env = fresh_env()
         config = swap_configuration(env, "list", "New.list")
         session = RepairSession(
             env, config, old_globals=["list"], rename=lambda n: f"New.{n}"
         )
-        results = session.repair_module(["app", "rev"])
+        results = session.repair_module(names)
         baseline_env = fresh_env()
         baseline_config = swap_configuration(
             baseline_env, "list", "New.list"
@@ -155,7 +156,7 @@ class TestRepairGate:
                 old_globals=["list"],
                 rename=lambda n: f"New.{n}",
             )
-            baseline = baseline_session.repair_module(["app", "rev"])
+            baseline = baseline_session.repair_module(names)
         finally:
             set_analysis(previous)
         assert [pretty(r.term) for r in results] == [

@@ -28,7 +28,7 @@ from repro.analysis.impact import (
     plan_key,
 )
 from repro.cases.quickstart import setup_environment
-from repro.service.synth import SMALL_WIDTH, wide_env_small
+from repro.service.synth import CHAIN_LENGTH, SETUP, wide_env
 from repro.syntax.parser import parse
 
 OLD = ("list",)
@@ -45,7 +45,7 @@ class TestVerdicts:
         assert plan.entries["add"].chain == ()
 
     def test_chains_are_wellformed_reference_paths(self):
-        env = wide_env_small()
+        env = wide_env()
         refs = env.declaration_refs()
         plan = build_plan(env, OLD)
         chained = [e for e in plan.entries.values() if len(e.chain) > 1]
@@ -57,11 +57,11 @@ class TestVerdicts:
                 assert there in refs[here]
 
     def test_wide_chain_is_certified_unaffected(self):
-        plan = build_plan(wide_env_small(), OLD)
-        for i in range(SMALL_WIDTH):
+        plan = build_plan(wide_env(), OLD)
+        for i in range(CHAIN_LENGTH):
             assert plan.verdict(f"wide.d{i}") == VERDICT_UNAFFECTED
         counts = plan.counts()
-        assert counts[VERDICT_UNAFFECTED] >= SMALL_WIDTH
+        assert counts[VERDICT_UNAFFECTED] >= CHAIN_LENGTH
         assert counts[VERDICT_TRANSPORT] >= 1
 
     def test_bodyless_type_mention_is_signature_only(self):
@@ -88,14 +88,14 @@ class TestVerdicts:
 class TestPlanArtifact:
     def _plan(self):
         return build_plan(
-            wide_env_small(), OLD, fingerprint="deadbeef"
+            wide_env(), OLD, fingerprint="deadbeef"
         )
 
     def test_digest_is_deterministic_and_content_addressed(self):
         a, b = self._plan(), self._plan()
         assert a.digest == b.digest
         shifted = build_plan(
-            wide_env_small(), OLD, fingerprint="cafebabe"
+            wide_env(), OLD, fingerprint="cafebabe"
         )
         assert shifted.digest != a.digest
 
@@ -154,7 +154,7 @@ class TestPlanArtifact:
 class TestPlanStore:
     def test_roundtrip_and_counters(self, tmp_path):
         store = PlanStore(str(tmp_path))
-        plan = build_plan(wide_env_small(), OLD, fingerprint="fp")
+        plan = build_plan(wide_env(), OLD, fingerprint="fp")
         key = plan_key("fp", OLD)
         assert store.get(key) is None
         store.put(key, plan)
@@ -164,7 +164,7 @@ class TestPlanStore:
 
     def test_corrupt_artifact_is_a_miss(self, tmp_path):
         store = PlanStore(str(tmp_path))
-        plan = build_plan(wide_env_small(), OLD, fingerprint="fp")
+        plan = build_plan(wide_env(), OLD, fingerprint="fp")
         key = plan_key("fp", OLD)
         store.put(key, plan)
         (tmp_path / f"{key}.json").write_text("{not json")
@@ -183,7 +183,7 @@ class TestPlanStore:
 
         def factory():
             calls.append(1)
-            return wide_env_small()
+            return wide_env()
 
         first = ensure_plan("fp", OLD, factory, store=store)
         second = ensure_plan("fp", OLD, factory, store=store)
@@ -192,22 +192,20 @@ class TestPlanStore:
 
 
 class TestCli:
-    SETUP = "repro.service.synth:wide_env_small"
-
     def test_json_plan_for_a_setup(self, capsys):
         assert main(
-            ["--setup", self.SETUP, "--old", "list", "--no-store",
+            ["--setup", SETUP, "--old", "list", "--no-store",
              "--json", "-"]
         ) == 0
         document = json.loads(capsys.readouterr().out)
         (entry,) = document["plans"]
-        assert entry["setup"] == self.SETUP
-        assert entry["counts"][VERDICT_UNAFFECTED] >= SMALL_WIDTH
+        assert entry["setup"] == SETUP
+        assert entry["counts"][VERDICT_UNAFFECTED] >= CHAIN_LENGTH
 
     def test_sarif_rendering(self, tmp_path, capsys):
         out = tmp_path / "impact.sarif"
         assert main(
-            ["--setup", self.SETUP, "--old", "list", "--no-store",
+            ["--setup", SETUP, "--old", "list", "--no-store",
              "--sarif", str(out)]
         ) == 0
         capsys.readouterr()
@@ -222,12 +220,12 @@ class TestCli:
 
     def test_setup_requires_old(self, capsys):
         with pytest.raises(SystemExit):
-            main(["--setup", self.SETUP])
+            main(["--setup", SETUP])
         capsys.readouterr()
 
     def test_store_reuse_across_invocations(self, tmp_path, capsys):
         argv = [
-            "--setup", self.SETUP, "--old", "list",
+            "--setup", SETUP, "--old", "list",
             "--store-dir", str(tmp_path), "--json", "-",
         ]
         assert main(argv) == 0

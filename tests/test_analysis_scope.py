@@ -189,26 +189,20 @@ _BAD_LEAVES = (
 )
 
 
-def _corrupt(rng, term, in_elim=False):
+def _corrupt(rng, term):
     """``term`` with some leaves swapped for bad ones and some eliminators
-    given a wrong number of cases.
-
-    A negative ``Rel`` stays out of eliminators: the rendering a bad
-    eliminator's finding carries cannot print one.
-    """
+    given a wrong number of cases."""
     if isinstance(term, App):
-        return App(
-            _corrupt(rng, term.fn, in_elim), _corrupt(rng, term.arg, in_elim)
-        )
+        return App(_corrupt(rng, term.fn), _corrupt(rng, term.arg))
     if isinstance(term, (Lam, Pi)):
         inner = "body" if isinstance(term, Lam) else "codomain"
         return type(term)(
             term.name,
-            _corrupt(rng, term.domain, in_elim),
-            _corrupt(rng, getattr(term, inner), in_elim),
+            _corrupt(rng, term.domain),
+            _corrupt(rng, getattr(term, inner)),
         )
     if isinstance(term, Elim):
-        cases = tuple(_corrupt(rng, case, True) for case in term.cases)
+        cases = tuple(_corrupt(rng, case) for case in term.cases)
         roll = rng.random()
         if roll < 0.15:
             cases = cases[:-1]
@@ -216,13 +210,12 @@ def _corrupt(rng, term, in_elim=False):
             cases = cases + cases[:1]
         return Elim(
             term.ind,
-            _corrupt(rng, term.motive, True),
+            _corrupt(rng, term.motive),
             cases,
-            _corrupt(rng, term.scrut, True),
+            _corrupt(rng, term.scrut),
         )
     if rng.random() < 0.3:
-        leaf = rng.choice(_BAD_LEAVES)
-        return Rel(6) if in_elim and leaf == Rel(-1) else leaf
+        return rng.choice(_BAD_LEAVES)
     return term
 
 

@@ -1,6 +1,18 @@
 """Pretty printer edge cases."""
 
-from repro.kernel import App, Constr, Lam, PROP, Rel, SET, pretty, type_sort
+from repro.analysis import check_term
+from repro.kernel import (
+    App,
+    Constr,
+    Elim,
+    Ind,
+    Lam,
+    PROP,
+    Rel,
+    SET,
+    pretty,
+    type_sort,
+)
 from repro.kernel.context import Context
 from repro.syntax.parser import parse
 
@@ -13,6 +25,16 @@ class TestAtoms:
 
     def test_unbound_rel_placeholder(self):
         assert pretty(Rel(0)).startswith("_rel")
+
+    def test_negative_rel_takes_no_binder_name(self, env_basic):
+        # A negative index is free under any number of binders, so it
+        # neither borrows an enclosing binder's name nor indexes past
+        # the names in scope.
+        assert pretty(Lam("y", Ind("nat"), Rel(-1))) == "fun (y : nat) => _rel-2"
+        bad = Elim("nat", Rel(-1), (Constr("nat", 0),), Constr("nat", 0))
+        diags = check_term(env_basic, bad)
+        assert sorted(d.code for d in diags) == ["RA001", "RA006"]
+        assert "_rel" in next(d.rendering for d in diags if d.code == "RA006")
 
     def test_context_names(self):
         ctx = Context.empty().push("n", SET)

@@ -26,7 +26,12 @@ from repro.service import (
 from repro.service.cli import main as service_main
 from repro.service.job import LIVE_SETUP, result_digest
 from repro.service.planner import MODE_CHECK, MODE_PRUNE, BatchImpact, _group_key
-from repro.service.synth import AFFECTED_TARGETS, SMALL_WIDTH, wide_jobs
+from repro.service.synth import (
+    AFFECTED_TARGETS,
+    CHAIN_LENGTH,
+    SETUP,
+    wide_jobs,
+)
 
 
 def _spec(job):
@@ -43,14 +48,14 @@ def _respec(job, **overrides):
 
 
 @pytest.fixture(scope="module")
-def small_batch():
-    jobs = wide_jobs(small=True)
+def wide_batch():
+    jobs = wide_jobs()
     return jobs, build_batch_impact(jobs)
 
 
 class TestBatchImpact:
-    def test_skippable_only_for_certified_unaffected(self, small_batch):
-        jobs, impact = small_batch
+    def test_skippable_only_for_certified_unaffected(self, wide_batch):
+        jobs, impact = wide_batch
         by_target = {job.target: job for job in jobs}
         evidence = impact.skippable(by_target["wide.d0"])
         assert evidence is not None
@@ -61,8 +66,8 @@ class TestBatchImpact:
         for target in AFFECTED_TARGETS:
             assert impact.skippable(by_target[target]) is None
 
-    def test_stale_fingerprint_refuses_the_plan(self, small_batch):
-        jobs, impact = small_batch
+    def test_stale_fingerprint_refuses_the_plan(self, wide_batch):
+        jobs, impact = wide_batch
         job = jobs[0]
         stale = _respec(job, env_fingerprint="stale")
         # The honest lookup misses (group key includes the fingerprint)...
@@ -74,14 +79,14 @@ class TestBatchImpact:
         assert forged.plan_for(stale) is None
         assert forged.skippable(stale) is None
 
-    def test_live_jobs_need_the_session_environment(self, small_batch):
-        jobs, _ = small_batch
+    def test_live_jobs_need_the_session_environment(self, wide_batch):
+        jobs, _ = wide_batch
         live = _respec(jobs[0], setup=LIVE_SETUP)
         with pytest.raises(JobError, match="session environment"):
             build_batch_impact([live])
 
-    def test_digests_map_setup_to_plan(self, small_batch):
-        jobs, impact = small_batch
+    def test_digests_map_setup_to_plan(self, wide_batch):
+        jobs, impact = wide_batch
         digests = impact.digests()
         assert set(digests) == {jobs[0].setup}
         assert digests[jobs[0].setup] == impact.plan_for(jobs[0]).digest
@@ -89,15 +94,15 @@ class TestBatchImpact:
 
 class TestSchedulerPrune:
     def test_pruned_batch_skips_exactly_the_certified_jobs(
-        self, small_batch
+        self, wide_batch
     ):
-        jobs, impact = small_batch
+        jobs, impact = wide_batch
         report = run_batch(
             jobs, BatchOptions(jobs=1, backoff_s=0.0, impact=impact)
         )
         assert report.ok
         assert report.counts == {
-            STATUS_SKIPPED_UNAFFECTED: SMALL_WIDTH,
+            STATUS_SKIPPED_UNAFFECTED: CHAIN_LENGTH,
             "ok": len(AFFECTED_TARGETS),
         }
         for outcome in report.outcomes:
@@ -108,8 +113,8 @@ class TestSchedulerPrune:
             else:
                 assert outcome.job.target in AFFECTED_TARGETS
 
-    def test_pruning_never_changes_surviving_outputs(self, small_batch):
-        jobs, impact = small_batch
+    def test_pruning_never_changes_surviving_outputs(self, wide_batch):
+        jobs, impact = wide_batch
         full = run_batch(jobs, BatchOptions(jobs=1, backoff_s=0.0))
         pruned = run_batch(
             jobs, BatchOptions(jobs=1, backoff_s=0.0, impact=impact)
@@ -125,8 +130,8 @@ class TestSchedulerPrune:
                 == full_digests[outcome.job.name]
             )
 
-    def test_dependents_of_skipped_jobs_still_run(self, small_batch):
-        jobs, impact = small_batch
+    def test_dependents_of_skipped_jobs_still_run(self, wide_batch):
+        jobs, impact = wide_batch
         by_target = {job.target: job for job in jobs}
         chained = _respec(
             by_target["rev"],
@@ -144,13 +149,13 @@ class TestSchedulerPrune:
 
 
 class TestDifferentialGate:
-    def test_forced_run_of_sound_plan_has_no_violations(self, small_batch):
-        jobs, impact = small_batch
+    def test_forced_run_of_sound_plan_has_no_violations(self, wide_batch):
+        jobs, impact = wide_batch
         full = run_batch(jobs, BatchOptions(jobs=1, backoff_s=0.0))
         assert verify_impact(full, impact) == []
 
-    def test_lying_plan_is_caught(self, small_batch):
-        jobs, impact = small_batch
+    def test_lying_plan_is_caught(self, wide_batch):
+        jobs, impact = wide_batch
         full = run_batch(jobs, BatchOptions(jobs=1, backoff_s=0.0))
         plan = impact.plan_for(jobs[0])
         entry = plan.entries["wide.d0"]
@@ -175,11 +180,11 @@ class TestDifferentialGate:
 
 class TestServiceCli:
     def _manifest(self, tmp_path):
-        jobs = wide_jobs(small=True)
+        jobs = wide_jobs()
         path = tmp_path / "wide.json"
         path.write_text(
             json.dumps(
-                {"batch": "wide-small",
+                {"batch": "wide",
                  "jobs": [_spec(job) for job in jobs]}
             )
         )
@@ -200,12 +205,10 @@ class TestServiceCli:
         capsys.readouterr()
         assert code == 0
         document = json.loads(report_path.read_text())
-        assert document["counts"][STATUS_SKIPPED_UNAFFECTED] == SMALL_WIDTH
+        assert document["counts"][STATUS_SKIPPED_UNAFFECTED] == CHAIN_LENGTH
         assert document["impact"]["mode"] == MODE_PRUNE
         assert document["impact"]["violations"] == []
-        assert set(document["impact"]["plans"]) == {
-            "repro.service.synth:wide_env_small"
-        }
+        assert set(document["impact"]["plans"]) == {SETUP}
 
     def test_no_impact_flag_runs_everything_and_verifies(
         self, tmp_path, capsys
@@ -225,7 +228,7 @@ class TestServiceCli:
         assert code == 0
         document = json.loads(report_path.read_text())
         assert STATUS_SKIPPED_UNAFFECTED not in document["counts"]
-        assert document["counts"]["ok"] == SMALL_WIDTH + len(
+        assert document["counts"]["ok"] == CHAIN_LENGTH + len(
             AFFECTED_TARGETS
         )
         assert document["impact"]["mode"] == MODE_CHECK
