@@ -59,8 +59,7 @@ from typing import (
 )
 
 from ..kernel.env import Environment
-from ..kernel.inductive import InductiveDecl
-from ..kernel.pretty import pretty
+from ..kernel.pretty import pretty, pretty_inductive
 from .diagnostics import Diagnostic, Report, Severity
 from .residual import taint_closure
 
@@ -107,19 +106,6 @@ class ImpactError(Exception):
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _inductive_rendering(decl: InductiveDecl) -> str:
-    parts = [f"inductive {decl.name} sort={decl.sort!r}"]
-    for name, ty in tuple(decl.params) + tuple(decl.indices):
-        parts.append(f"  tele {name} : {pretty(ty)}")
-    for ctor in decl.constructors:
-        args = " ".join(
-            f"({name} : {pretty(ty)})" for name, ty in ctor.args
-        )
-        indices = " ".join(pretty(t) for t in ctor.result_indices)
-        parts.append(f"  ctor {ctor.name} {args} -> {indices}")
-    return "\n".join(parts)
 
 
 # -- Plan entries -------------------------------------------------------------
@@ -364,7 +350,7 @@ def build_plan(
             opaque = False
             type_refs = refs[name]
             body_refs: FrozenSet[str] = frozenset()
-            rendering = _inductive_rendering(ind)
+            rendering = pretty_inductive(ind)
             term_digest: Optional[str] = None
             type_digest: Optional[str] = None
         else:

@@ -48,7 +48,7 @@ whole environment.
 from __future__ import annotations
 
 import shlex
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .analysis.diagnostics import Diagnostic, Severity
@@ -197,16 +197,19 @@ class CommandSession:
         """The pair's repair session for the rename spec ``rename``.
 
         A session names every constant it repairs with its own rename,
-        so a command that renames otherwise gets a session of its own;
-        the pair's sessions share its configuration.
+        so a command that renames otherwise gets a session of its own.
+        The pair's sessions share its configuration but not its
+        ``const_map``, where a session records the names it repaired
+        to: each starts from the built map, as a fresh session does.
         """
         key = (a, b, rename["kind"], rename["value"])
         if key not in self._sessions:
             from .service.worker import make_rename
 
+            config = self._get_config(a, b)
             self._sessions[key] = RepairSession(
                 self.env,
-                self._get_config(a, b),
+                replace(config, const_map=dict(config.const_map)),
                 old_globals=[a],
                 rename=make_rename(rename),
             )
@@ -251,7 +254,7 @@ class CommandSession:
             summary=f"repaired {result.old_name} as {result.new_name} "
             f"({len(session.results)} constant(s) in session)",
             results=[result],
-            config=session.config,
+            config=self._get_config(a, b),
         )
 
     def _repair_module(self, words: List[str], command: str) -> CommandResult:
@@ -267,7 +270,7 @@ class CommandSession:
             command=command,
             summary=f"repaired {len(results)} constants across {a} ~= {b}",
             results=results,
-            config=session.config,
+            config=self._get_config(a, b),
         )
 
     def _repair_batch(self, words: List[str], command: str) -> CommandResult:
@@ -340,7 +343,7 @@ class CommandSession:
             summary=f"batch {a} ~= {b}: {len(report.outcomes)} job(s) — "
             f"{counts}",
             results=results,
-            config=session.config,
+            config=self._get_config(a, b),
             text=report.render_table(),
             report=report,
         )

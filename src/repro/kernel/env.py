@@ -100,19 +100,20 @@ class ReductionCache:
     T's chain, so T's content is S's plus further declarations, and
     those cannot change it: a term can only mention globals that existed
     when its entry was stored, because reducing a term with an unknown
-    constant raises instead of caching.  Rollback, checkpoint and fork
-    therefore copy and clear nothing: they only move an environment
-    along the trie, and an environment that declares again what it
-    dropped (the same objects) reaches the same states and sees every
-    entry derived there.  ``remove``, the one mutating change, moves the
-    environment to a fresh root.
+    constant raises instead of caching.  A fork therefore copies and
+    clears nothing: it starts at its source's tip, and a fork that
+    declares what another fork of the same source declared (the same
+    objects) reaches the same states and sees every entry derived
+    there.  ``remove``, the one mutating change, moves the environment
+    to a fresh root.
 
     Forks share the store and the trie, so sessions forked from one base
-    that declare the same things share verdicts.  The store is bounded
-    by a wholesale clear at ``_REDUCTION_CACHE_MAX`` entries; the trie
-    by its entries and the chains of live environments, since nothing
-    else holds a state (so the clear drops every branch no live
-    environment stands on).  The kernel's cache switch
+    and warm jobs forked from one post-build environment that declare
+    the same things share verdicts.  The store is bounded by a wholesale
+    clear at ``_REDUCTION_CACHE_MAX`` entries; the trie by its entries
+    and the chains of live environments, since nothing else holds a
+    state (so the clear drops every branch no live environment stands
+    on).  The kernel's cache switch
     (:func:`~repro.kernel.term.set_kernel_caches`) decides whether the
     judgements read and fill it.
     """
@@ -186,27 +187,6 @@ class ReductionCache:
 
 
 @dataclass(frozen=True)
-class EnvCheckpoint:
-    """An opaque rollback token from :meth:`Environment.checkpoint`.
-
-    Captures the environment that took it (by its ``owner`` token),
-    how many globals were declared, the stamp of the newest one, and how
-    many *destructive* mutations (``remove`` calls) the environment had
-    seen.  It copies nothing: the reduction cache's entries are tagged
-    with the declaration state they were derived in, and rolling back
-    only moves the environment back along its chain.  Valid for
-    :meth:`Environment.rollback` of that environment only, and only
-    while every change since it was taken has been additive and no
-    rollback has dropped a declaration it saw.
-    """
-
-    owner: object
-    depth: int
-    top: int
-    destructive: int
-
-
-@dataclass(frozen=True)
 class ConstantDecl:
     """A global definition: a type and an optional (delta-unfoldable) body."""
 
@@ -227,30 +207,11 @@ class Environment:
         self._constants: Dict[str, ConstantDecl] = {}
         self._inductives: Dict[str, InductiveDecl] = {}
         self._decl_order: List[str] = []
-        #: The revision at which each ``_decl_order`` entry was declared:
-        #: a stamp no later declaration shares, so a checkpoint can tell
-        #: its newest declaration from one declared after a rollback.
-        self._stamps: List[int] = []
-        self._revision: int = 0
-        self._destructive: int = 0
+        #: ``(declaration_state, refs)`` of the last :meth:`declaration_refs`.
         self._refs_memo: Optional[
-            Tuple[int, Dict[str, FrozenSet[str]]]
+            Tuple[object, Dict[str, FrozenSet[str]]]
         ] = None
         self.reduction_cache = ReductionCache()
-        #: Names this environment in its checkpoints.  Another
-        #: environment (a fork, say) can share its whole history, so
-        #: depth and stamps alone cannot tell its marks apart.
-        self._token = object()
-
-    @property
-    def revision(self) -> int:
-        """Monotone counter bumped by every declaration change.
-
-        Memos keyed on the environment's *shape* (e.g.
-        :meth:`declaration_refs`) use this to detect staleness without
-        hashing the whole environment.
-        """
-        return self._revision
 
     @property
     def declaration_state(self) -> object:
@@ -300,12 +261,14 @@ class Environment:
         present) its body; an inductive family contributes its
         parameter/index telescopes plus every constructor's argument
         types and result indices.  The mapping is recomputed lazily
-        whenever :attr:`revision` has moved — a recompute is cheap
-        because :func:`~repro.kernel.term.collect_globals` is memoized
-        per arena node.  Callers must treat the result as immutable.
+        whenever :attr:`declaration_state` has moved — a recompute is
+        cheap because :func:`~repro.kernel.term.collect_globals` is
+        memoized per arena node.  Callers must treat the result as
+        immutable.
         """
+        state = self.declaration_state
         memo = self._refs_memo
-        if memo is not None and memo[0] == self._revision:
+        if memo is not None and memo[0] is state:
             return memo[1]
         from .term import collect_globals
 
@@ -325,19 +288,8 @@ class Environment:
                 for idx in ctor.result_indices:
                     acc |= collect_globals(idx)
             refs[ind.name] = frozenset(acc)
-        self._refs_memo = (self._revision, refs)
+        self._refs_memo = (state, refs)
         return refs
-
-    def _mutated(self) -> None:
-        """Record a declaration change (invalidates shape-keyed memos)."""
-        self._revision += 1
-        self._refs_memo = None
-
-    def _append(self, name: str) -> None:
-        """Record a new global at the end of the declaration order."""
-        self._decl_order.append(name)
-        self._mutated()
-        self._stamps.append(self._revision)
 
     def _add_constant(self, decl: ConstantDecl) -> ConstantDecl:
         """Install a constant (checked, or a generated recursor) and step
@@ -346,74 +298,10 @@ class Environment:
         self.reduction_cache._advance(
             (decl.name, id(decl.type), id(decl.body), decl.opaque), decl
         )
-        self._append(decl.name)
+        self._decl_order.append(decl.name)
         return decl
 
-    # -- Checkpoint / rollback ----------------------------------------------
-
-    def checkpoint(self) -> EnvCheckpoint:
-        """A rollback token for the environment's current state.
-
-        Copies nothing: declarations are counted, and the reduction
-        cache needs no snapshot because its entries are tagged with the
-        declaration state they were derived in.  Warm workers
-        (:mod:`repro.service.worker`) take one per configuration so a
-        long-lived environment can serve many hermetic repairs.
-        """
-        return EnvCheckpoint(
-            owner=self._token,
-            depth=len(self._decl_order),
-            top=self._stamps[-1] if self._stamps else 0,
-            destructive=self._destructive,
-        )
-
-    def rollback(self, mark: EnvCheckpoint) -> Tuple[str, ...]:
-        """Undo every declaration made since ``mark``; return their names.
-
-        Sound only for *additive* history: ``define``, ``assume``, and
-        ``declare_inductive`` append, so dropping the tail of the
-        declaration order restores the exact prior environment.  The
-        reduction cache keeps every entry: the environment steps back to
-        the mark's declaration state, which hides the entries derived
-        since (they may mention the dropped globals) until the same
-        declarations are made again.  A ``remove`` since the mark would
-        make the tail-drop unsound, so rollback refuses with
-        :class:`EnvError` — callers should discard the environment and
-        rebuild instead.  So does a mark taken after an earlier
-        rollback's target: that rollback dropped declarations the mark
-        saw, and so does a mark another environment took: its depth
-        names a state on that environment's chain.  Rolling back to the
-        same mark again is fine.
-        """
-        if mark.owner is not self._token:
-            raise EnvError(
-                "cannot roll back: the checkpoint belongs to another "
-                "environment"
-            )
-        if mark.destructive != self._destructive:
-            raise EnvError(
-                "cannot roll back: the environment saw remove after "
-                "the checkpoint"
-            )
-        if len(self._decl_order) < mark.depth:
-            raise EnvError(
-                "cannot roll back: the checkpoint is ahead of this "
-                "environment"
-            )
-        if mark.depth and self._stamps[mark.depth - 1] != mark.top:
-            raise EnvError(
-                "cannot roll back: an earlier rollback dropped "
-                "declarations this checkpoint saw"
-            )
-        added = tuple(self._decl_order[mark.depth:])
-        for name in added:
-            self._constants.pop(name, None)
-            self._inductives.pop(name, None)
-        del self._decl_order[mark.depth:]
-        del self._stamps[mark.depth:]
-        self.reduction_cache._truncate(mark.depth)
-        self._mutated()
-        return added
+    # -- Forks --------------------------------------------------------------
 
     def fork(self) -> Environment:
         """An independent environment holding this one's declarations.
@@ -422,23 +310,22 @@ class Environment:
         which are immutable and were checked when they entered this
         environment, so nothing enters the fork unchecked.  It owns its
         declaration tables and its chain of declaration states: later
-        changes to either environment never show in the other, and
-        neither accepts the other's checkpoints.  It shares the
-        reduction-cache store and its trie of states, so the fork sees
-        what its source derived so far, and forks that go on to make the
-        same declarations (the same objects) reach the same states and
-        share what each derives there.  The memo on a shared
-        :class:`InductiveDecl` (``case_types``) is shared too; it is a
-        pure function of the declaration.
+        changes to either environment never show in the other.  It
+        shares the reduction-cache store and its trie of states, so the
+        fork sees what its source derived so far, and forks that go on
+        to make the same declarations (the same objects) reach the same
+        states and share what each derives there.  A warm worker's job
+        and a server session each work in a fork of a resident
+        environment that nothing writes, and drop it when done.  The
+        memo on a shared :class:`InductiveDecl` (``case_types``) is
+        shared too; it is a pure function of the declaration.
         """
-        fork = Environment()
+        fork = Environment.__new__(Environment)
         fork._constants = dict(self._constants)
         fork._inductives = dict(self._inductives)
         fork._decl_order = list(self._decl_order)
-        fork._stamps = list(self._stamps)
-        # Stamps come from the revision: continuing it keeps every
-        # stamp unique, the fork's own above every copied one.
-        fork._revision = self._revision
+        # Keyed on the declaration state, which the fork starts at.
+        fork._refs_memo = self._refs_memo
         fork.reduction_cache = self.reduction_cache._fork()
         return fork
 
@@ -463,7 +350,7 @@ class Environment:
             cache._truncate(len(self._decl_order))
             raise
         self._inductives[decl.name] = decl
-        self._append(decl.name)
+        self._decl_order.append(decl.name)
         self._define_recursor(decl)
         return decl
 
@@ -516,11 +403,8 @@ class Environment:
         self._constants.pop(name, None)
         self._inductives.pop(name, None)
         if name in self._decl_order:
-            index = self._decl_order.index(name)
-            del self._decl_order[index], self._stamps[index]
+            self._decl_order.remove(name)
         self.reduction_cache._restart(len(self._decl_order))
-        self._destructive += 1
-        self._mutated()
 
     # -- Internal helpers ---------------------------------------------------
 

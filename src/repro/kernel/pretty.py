@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import term as _term
 from .context import Context
+from .inductive import InductiveDecl
 from .term import (
     App,
     Const,
@@ -147,6 +148,22 @@ class _Printer:
             return f"Elim[{term.ind}]({scrut}; {motive}){{{cases}}}"
 
         return repr(term)
+
+
+def pretty_inductive(decl: InductiveDecl) -> str:
+    """An inductive declaration, one line per telescope binder and per
+    constructor: the rendering that environment fingerprints and
+    declaration digests hash."""
+    parts = [f"inductive {decl.name} sort={decl.sort!r}"]
+    for name, ty in tuple(decl.params) + tuple(decl.indices):
+        parts.append(f"  tele {name} : {pretty(ty)}")
+    for ctor in decl.constructors:
+        args = " ".join(
+            f"({name} : {pretty(ty)})" for name, ty in ctor.args
+        )
+        indices = " ".join(pretty(t) for t in ctor.result_indices)
+        parts.append(f"  ctor {ctor.name} {args} -> {indices}")
+    return "\n".join(parts)
 
 
 def _fresh(names: List[str], hint: str) -> str:

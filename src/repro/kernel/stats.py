@@ -21,7 +21,7 @@ system produces identical terms either way.
 from __future__ import annotations
 
 import os
-from typing import Dict
+from typing import Any, Dict, Tuple
 
 
 #: True when the ablation switch was flipped via the environment.
@@ -181,3 +181,45 @@ class KernelStats:
 
 #: The process-wide stats singleton used by every kernel cache layer.
 KERNEL_STATS = KernelStats()
+
+
+#: A cheap copy of the raw counters (see :func:`stats_mark`).
+StatsMark = Tuple[int, int, Dict[str, Tuple[int, int]]]
+
+
+def stats_mark() -> StatsMark:
+    """Constructions, intern hits and each table's hits and misses, now.
+
+    Cheaper than :meth:`KernelStats.snapshot`, which rounds every hit
+    rate and sorts every table; a warm job and every traced span take
+    two of these.
+    """
+    stats = KERNEL_STATS
+    return (
+        stats.constructions,
+        stats.intern_hits,
+        {name: (c.hits, c.misses) for name, c in stats.tables.items()},
+    )
+
+
+def stats_delta(before: StatsMark, after: StatsMark) -> Dict[str, Any]:
+    """The JSON-ready counter movement between two marks: the
+    constructions and intern hits, and the hits, misses and hit rate of
+    each table that moved."""
+    tables: Dict[str, Dict[str, Any]] = {}
+    for name, (hits, misses) in sorted(after[2].items()):
+        base_hits, base_misses = before[2].get(name, (0, 0))
+        hits -= base_hits
+        misses -= base_misses
+        if hits or misses:
+            total = hits + misses
+            tables[name] = {
+                "hits": hits,
+                "misses": misses,
+                "hit_rate": round(hits / total, 4) if total else 0.0,
+            }
+    return {
+        "constructions": after[0] - before[0],
+        "intern_hits": after[1] - before[1],
+        "tables": tables,
+    }

@@ -35,9 +35,9 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
-from ..kernel.stats import KERNEL_STATS
+from ..kernel.stats import StatsMark, stats_delta, stats_mark
 
 #: Name of the environment variable that enables tracing at import time.
 TRACE_ENV_VAR = "REPRO_TRACE"
@@ -79,43 +79,6 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-def _stats_mark() -> Tuple[int, int, Dict[str, Tuple[int, int]]]:
-    """A cheap copy of every kernel counter, taken at span boundaries."""
-    return (
-        KERNEL_STATS.constructions,
-        KERNEL_STATS.intern_hits,
-        {
-            name: (counter.hits, counter.misses)
-            for name, counter in KERNEL_STATS.tables.items()
-        },
-    )
-
-
-def _stats_delta(
-    before: Tuple[int, int, Dict[str, Tuple[int, int]]],
-    after: Tuple[int, int, Dict[str, Tuple[int, int]]],
-) -> Dict[str, Any]:
-    constructions = after[0] - before[0]
-    intern_hits = after[1] - before[1]
-    tables: Dict[str, Dict[str, float]] = {}
-    for name, (hits, misses) in after[2].items():
-        old_hits, old_misses = before[2].get(name, (0, 0))
-        d_hits = hits - old_hits
-        d_misses = misses - old_misses
-        if d_hits or d_misses:
-            total = d_hits + d_misses
-            tables[name] = {
-                "hits": d_hits,
-                "misses": d_misses,
-                "hit_rate": round(d_hits / total, 4) if total else 0.0,
-            }
-    return {
-        "constructions": constructions,
-        "intern_hits": intern_hits,
-        "tables": tables,
-    }
-
-
 class Span:
     """One timed region of the pipeline, with counters and children."""
 
@@ -150,20 +113,20 @@ class Span:
         self.children: List[Span] = []
         self.gauges: Dict[str, float] = {}
         self.kernel: Dict[str, Any] = {}
-        self._mark: Optional[Tuple[int, int, Dict[str, Tuple[int, int]]]] = None
+        self._mark: Optional[StatsMark] = None
 
     # -- Context manager protocol -----------------------------------------
 
     def __enter__(self) -> "Span":
         self.tracer._push(self)
-        self._mark = _stats_mark()
+        self._mark = stats_mark()
         self.start_ns = time.perf_counter_ns()
         return self
 
     def __exit__(self, *exc: object) -> bool:
         self.end_ns = time.perf_counter_ns()
         if self._mark is not None:
-            self.kernel = _stats_delta(self._mark, _stats_mark())
+            self.kernel = stats_delta(self._mark, stats_mark())
             self._mark = None
         self.tracer._pop(self)
         return False

@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from ..kernel.env import Environment
-from ..kernel.inductive import InductiveDecl
-from ..kernel.pretty import pretty
+from ..kernel.pretty import pretty, pretty_inductive
 
 #: Version of the job-identity and store-record layout.  Bumping it
 #: invalidates every persisted result at once.
@@ -296,26 +295,13 @@ def fingerprint_source(ref: str) -> str:
     return digest.hexdigest()
 
 
-def _inductive_lines(decl: InductiveDecl) -> str:
-    parts = [f"inductive {decl.name} sort={decl.sort!r}"]
-    for name, ty in tuple(decl.params) + tuple(decl.indices):
-        parts.append(f"  tele {name} : {pretty(ty)}")
-    for ctor in decl.constructors:
-        args = " ".join(
-            f"({name} : {pretty(ty)})" for name, ty in ctor.args
-        )
-        indices = " ".join(pretty(t) for t in ctor.result_indices)
-        parts.append(f"  ctor {ctor.name} {args} -> {indices}")
-    return "\n".join(parts)
-
-
 def fingerprint_env(env: Environment) -> str:
     """Structural hash of an environment's contents, declaration order
     included — the content address for live (in-session) batches."""
     digest = hashlib.sha256()
     for name in env.declaration_order():
         if env.has_inductive(name):
-            digest.update(_inductive_lines(env.inductive(name)).encode())
+            digest.update(pretty_inductive(env.inductive(name)).encode())
         elif env.has_constant(name):
             decl = env.constant(name)
             body = pretty(decl.body) if decl.body is not None else "<none>"

@@ -24,12 +24,13 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.repair import RepairResult, RepairSession
 from ..kernel.env import Environment
+from ..kernel.stats import stats_mark
 from ..syntax.parser import parse
 from . import faults
 from .graph import infer_edges
 from .job import LIVE_SETUP, RepairJob, fingerprint_env
 from .scheduler import BatchOptions, BatchReport, Runner, run_batch
-from .worker import _stats_snapshot, attempt_job, build_record
+from .worker import attempt_job, build_record
 
 
 def live_jobs(
@@ -107,7 +108,7 @@ def live_runner(
     ) -> Dict[str, Any]:
         def execute() -> Dict[str, Any]:
             started = time.perf_counter()
-            before = _stats_snapshot()
+            before = stats_mark()
             already = set(session.results)
             result = session.repair_constant(
                 payload["target"], new_name=payload.get("new_name")

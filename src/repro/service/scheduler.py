@@ -296,10 +296,9 @@ def _job_alarm(timeout_s: Optional[float]) -> Iterator[None]:
 def inprocess_runner(fault_plan: Optional[FaultPlan] = None) -> Runner:
     """The deterministic in-process executor (``--jobs 1`` and tests).
 
-    Each attempt boots its environment into a fresh resident table:
-    keeping residents across attempts is only safe behind a pool
-    worker's process boundary, since a SIGALRM timeout can land inside
-    the rollback that restores one.
+    Each attempt boots its environment into a fresh resident table, so
+    every attempt boots, builds and repairs from scratch: this hermetic
+    path is the reference the warm pool's digests are compared with.
     """
     from .worker import attempt_job, execute_warm
 

@@ -2,7 +2,8 @@
 
 A worker rebuilds its environment from the job's serialized module
 script (a dotted ``pkg.mod:fn`` reference to an environment builder),
-builds the configuration, repairs the target through a
+builds the configuration in a fork of it, repairs the target in a fork
+of that post-build environment through a
 :class:`~repro.core.repair.RepairSession` of its own (which reads and
 fills the resident configuration's transform store; see
 :class:`ResidentConfig`), and returns a JSON-ready record (whose report
@@ -42,9 +43,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..core.caching import TransformCache
 from ..core.config import ConfigError, Configuration
 from ..core.repair import RepairError, RepairSession
-from ..kernel.env import EnvCheckpoint, EnvError, Environment
+from ..kernel.env import Environment
 from ..kernel.pretty import pretty
-from ..kernel.stats import KERNEL_STATS
+from ..kernel.stats import KERNEL_STATS, StatsMark, stats_delta, stats_mark
 from ..kernel.term import TermError
 from . import faults
 from .job import LIVE_SETUP, SCHEMA_VERSION, JobError
@@ -138,41 +139,6 @@ def make_rename(
     raise JobError(f"unknown rename kind {kind!r}")
 
 
-def _stats_snapshot() -> Dict[str, Any]:
-    """The raw kernel counters, as :func:`_stats_delta` reads them.
-
-    Cheaper than :meth:`KernelStats.snapshot`, which rounds every hit
-    rate and sorts every table; a job takes two of these.
-    """
-    stats = KERNEL_STATS
-    return {
-        "constructions": stats.constructions,
-        "intern_hits": stats.intern_hits,
-        "tables": {
-            name: (c.hits, c.misses) for name, c in stats.tables.items()
-        },
-    }
-
-
-def _stats_delta(
-    before: Dict[str, Any], after: Dict[str, Any]
-) -> Dict[str, Any]:
-    """The JSON-ready counter movement between two snapshots."""
-    tables: Dict[str, Dict[str, int]] = {}
-    before_tables: Dict[str, Tuple[int, int]] = before["tables"]
-    for name, (hits, misses) in sorted(after["tables"].items()):
-        base_hits, base_misses = before_tables.get(name, (0, 0))
-        hits -= base_hits
-        misses -= base_misses
-        if hits or misses:
-            tables[name] = {"hits": hits, "misses": misses}
-    return {
-        "constructions": after["constructions"] - before["constructions"],
-        "intern_hits": after["intern_hits"] - before["intern_hits"],
-        "tables": tables,
-    }
-
-
 def _decompiled(env: Environment, result_name: str, term: Any) -> Optional[str]:
     from ..decompile.decompiler import decompile_to_script, print_script
 
@@ -231,7 +197,7 @@ def build_record(
     env: Environment,
     session: RepairSession,
     result: Any,
-    before: Dict[str, Any],
+    before: StatsMark,
     started: float,
     exclude: Optional[set] = None,
     reports: Optional[ReportStore] = None,
@@ -266,7 +232,7 @@ def build_record(
         "script": script,
         "defined": defined,
         "analysis": analysis,
-        "kernel_delta": _stats_delta(before, _stats_snapshot()),
+        "kernel_delta": stats_delta(before, stats_mark()),
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
 
@@ -278,26 +244,28 @@ def build_record(
 class ResidentConfig:
     """The configuration a resident environment keeps between jobs.
 
-    It also keeps one transform store, valid for one *naming*: the
-    canonical JSON of the job's ``[old, skip, rename]``.  Every job with
-    that naming repairs through the store; a job with another naming
-    replaces it with a fresh one.  A hit is sound because a transformed
-    subterm is a function of the term, its pruned context (the store's
-    key), the configuration (this one object) and ``const_map``
-    restricted to the globals the term mentions, and nothing else a job
-    can vary:
+    It is built in a fork of the boot, and that post-build environment
+    (:attr:`env`) stays resident and is never written again: every job
+    repairs in a fork of it, dropped with the job.  It also keeps one
+    transform store, valid for one *naming*: the canonical JSON of the
+    job's ``[old, skip, rename]``.  Every job with that naming repairs
+    through the store; a job with another naming replaces it with a
+    fresh one.  A hit is sound because a transformed subterm is a
+    function of the term, its pruned context (the store's key), the
+    configuration (this one object) and ``const_map`` restricted to the
+    globals the term mentions, and nothing else a job can vary:
 
     1. The environment a matcher reads adds nothing.  Every transformed
        term is the type or body of an old declaration, so it mentions
-       only declarations at :attr:`mark`, and every job starts from the
-       mark.  The B-side builders declare nothing during a transform:
-       ornament support and smart eliminators are declared at configure
-       time, before the mark.
+       only declarations of :attr:`env`, and every job starts from a
+       fork of it.  The B-side builders declare nothing during a
+       transform: ornament support and smart eliminators are declared
+       at configure time, into :attr:`env`.
     2. The restricted ``const_map`` is fixed by the naming.  A session
        repairs, and so maps, every dependency that needs repair before it
        transforms a term that mentions it, and maps it to
        ``rename(dep)``; which dependencies need repair is decided by
-       ``old``, ``skip``, the configuration's iota names and the mark.
+       ``old``, ``skip``, the configuration's iota names and :attr:`env`.
     3. A job's own target never occurs inside a term that job
        transforms (the kernel admits no self-reference), so neither
        ``target`` nor ``new_name`` reaches an entry, and jobs repairing
@@ -305,9 +273,9 @@ class ResidentConfig:
     4. A ``dotted`` rename is assumed pure, as :attr:`RepairJob.key`
        already assumes when it hashes the rename spec.
 
-    The store holds transforms of subterms of the declarations at the
-    mark, so it is bounded by them; a configuration rebuild, a refused
-    rollback or a re-boot drops it with this object.
+    The store holds transforms of subterms of the declarations of
+    :attr:`env`, so it is bounded by them; a configuration rebuild or a
+    re-boot drops it with this object.
 
     Next to it sits a report store (:data:`ReportStore`), replaced with
     it: each job's decompiled ``script`` and scope ``analysis``, keyed
@@ -329,8 +297,8 @@ class ResidentConfig:
     #: The built ``const_map``; every job starts from a fresh copy,
     #: because a repair session records each repaired name in it.
     const_map: Dict[str, str]
-    #: Taken right after the build; every job rolls back to it.
-    mark: EnvCheckpoint
+    #: The environment right after the build; every job forks it.
+    env: Environment
     #: The naming (see above) whose jobs filled :attr:`transforms`.
     naming: str
     #: Transformed subterms, shared by every job with :attr:`naming`.
@@ -349,26 +317,14 @@ class Resident:
     #: module changed on disk and this process (whose import graph is
     #: frozen) can no longer rebuild it honestly.
     fingerprint: str
+    #: The pristine boot, never written: each configuration builds in a
+    #: fork of it.
     env: Environment
-    #: The pristine boot, restored before another configuration builds.
-    boot: EnvCheckpoint
     config: Optional[ResidentConfig] = None
 
 
 class StaleEnvironment(Exception):
     """A job's env fingerprint no longer matches the resident boot."""
-
-
-def _restore(
-    residents: Dict[str, Resident], setup: str, mark: EnvCheckpoint
-) -> bool:
-    """Roll ``setup``'s resident back to ``mark``; drop it on refusal."""
-    try:
-        residents[setup].env.rollback(mark)
-    except EnvError:
-        del residents[setup]
-        return False
-    return True
 
 
 def execute_warm(
@@ -378,21 +334,20 @@ def execute_warm(
 
     The job's configuration stays resident with the environment and is
     built again only for a job whose ``config`` spec has another key;
-    that build starts from the pristine boot, and one that raises leaves
-    the boot restored and no configuration resident.  Every job starts
-    from a fresh copy of the built ``const_map`` and ends rolled back
-    (success or failure) to the checkpoint taken after the build, so
-    each job observes the state a fresh per-job boot and build would —
-    byte-identical results, which the digest-parity gates assert.  A job
-    transforms through the resident configuration's store when its
-    naming matches the one that filled it, and through a fresh store
-    that then stays resident otherwise (see :class:`ResidentConfig`).
-    Its ``script`` and ``analysis`` come from the resident report store
-    when an earlier job with its naming reported the same term under the
-    same name at the same declaration state, and are made and stored
-    there otherwise.  If a rollback refuses (the repair performed a
-    destructive mutation the checkpoint cannot undo), the resident entry
-    is dropped and the next job re-boots: refuse-don't-corrupt.
+    that build runs in a fresh fork of the pristine boot, and one that
+    raises leaves no configuration resident.  Every job starts from a
+    fresh copy of the built ``const_map`` and repairs in a fresh fork of
+    the post-build environment, dropped when the job ends (success or
+    failure), so each job observes the state a fresh per-job boot and
+    build would — byte-identical results, which the digest-parity gates
+    assert — and nothing a job does, a ``remove`` included, reaches the
+    resident environments.  A job transforms through the resident
+    configuration's store when its naming matches the one that filled
+    it, and through a fresh store that then stays resident otherwise
+    (see :class:`ResidentConfig`).  Its ``script`` and ``analysis`` come
+    from the resident report store when an earlier job with its naming
+    reported the same term under the same name at the same declaration
+    state, and are made and stored there otherwise.
     """
     setup = payload["setup"]
     claimed = str(payload.get("env_fingerprint", ""))
@@ -402,64 +357,54 @@ def execute_warm(
             f"setup {setup!r} changed on disk since this worker booted"
         )
     started = time.perf_counter()
-    before = _stats_snapshot()
+    before = stats_mark()
     key = json.dumps(payload["config"], sort_keys=True, separators=(",", ":"))
-    if entry is not None and (entry.config is None or entry.config.key != key):
-        entry.config = None
-        if not _restore(residents, setup, entry.boot):
-            entry = None
     if entry is None:
-        env = build_environment(setup)
-        entry = Resident(fingerprint=claimed, env=env, boot=env.checkpoint())
+        entry = Resident(fingerprint=claimed, env=build_environment(setup))
         residents[setup] = entry
         job_boot = "scratch"
     else:
-        env = entry.env
         job_boot = "warm"
     naming = json.dumps(
         [payload["old"], payload.get("skip") or [], payload.get("rename")],
         sort_keys=True,
         separators=(",", ":"),
     )
-    if entry.config is None:
-        try:
-            config = build_config(env, payload["config"])
-        except BaseException:
-            _restore(residents, setup, entry.boot)
-            raise
-        entry.config = ResidentConfig(
+    resident = entry.config
+    if resident is None or resident.key != key:
+        entry.config = None
+        built = entry.env.fork()
+        config = build_config(built, payload["config"])
+        resident = entry.config = ResidentConfig(
             key,
             config,
             dict(config.const_map),
-            env.checkpoint(),
+            built,
             naming,
             TransformCache(),
             {},
         )
-    resident = entry.config
-    if resident.naming != naming:
+    elif resident.naming != naming:
         resident.naming = naming
         resident.transforms = TransformCache()
         resident.reports = {}
     config = resident.config
     config.const_map = dict(resident.const_map)
-    try:
-        session = RepairSession(
-            env,
-            config,
-            old_globals=tuple(payload["old"]),
-            rename=make_rename(payload.get("rename")),
-            cache=resident.transforms,
-            skip=list(payload.get("skip") or ()) or None,
-        )
-        result = session.repair_constant(
-            payload["target"], new_name=payload.get("new_name")
-        )
-        record = build_record(
-            env, session, result, before, started, reports=resident.reports
-        )
-    finally:
-        _restore(residents, setup, resident.mark)
+    env = resident.env.fork()
+    session = RepairSession(
+        env,
+        config,
+        old_globals=tuple(payload["old"]),
+        rename=make_rename(payload.get("rename")),
+        cache=resident.transforms,
+        skip=list(payload.get("skip") or ()) or None,
+    )
+    result = session.repair_constant(
+        payload["target"], new_name=payload.get("new_name")
+    )
+    record = build_record(
+        env, session, result, before, started, reports=resident.reports
+    )
     record["env_boot"] = job_boot
     return record
 

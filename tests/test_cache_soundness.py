@@ -1,37 +1,37 @@
-"""Kernel caches stay sound while a long-lived environment mutates.
+"""Kernel caches stay sound while long-lived environments mutate.
 
 A warm, caches-on environment (hash consing, the de Bruijn memo tables
 and the reduction cache with its ``infer``/``check``/``conv`` verdicts)
 goes through seeded random runs of ``define``, ``remove``,
 ``checkpoint``, ``rollback``, a replay, ``reduction_cache.clear()`` and
 ``fork`` — the history a warm pool worker or a server session puts an
-environment through.  A replay rolls back to a mark that drops
-declarations and declares them again (the same term objects, as a warm
-worker's next job does), or stops at one of them and declares that name
-with another body: the reduction cache tags each entry with the
-declaration state it was derived in, so it must show every verdict of
-a replayed state and none of a replaced one.  Each step picks the base
-environment or one of the forks made so far, and the model tracks each
-environment's own history.  After every step, random terms (from
-:mod:`tests.termgen` plus typed terms over the user constants) must get
-the same ``infer`` result, ``nf`` and ``conv`` verdicts in the
-environment the step changed, or the same error class, as in a
-cache-free reference: an environment used with every cache layer off,
-into which that environment's current user declarations are declared
-from scratch.  That goes through the checked ``define``, so the
-reference also re-checks every declaration the warm side accepted.
+environment through.  A checkpoint keeps aside a fork that nothing
+writes; a rollback replaces the environment with a fresh fork of a kept
+one.  A replay does the same with a kept fork whose declarations are a
+prefix of the environment's, then declares the dropped declarations
+again (the same term objects, as a warm worker's next job does in its
+fork of the post-build environment), or stops at one of them and
+declares that name with another body: the reduction cache tags each
+entry with the declaration state it was derived in, so it must show
+every verdict of a replayed state and none of a replaced one.  Each
+step picks the base environment or one of the forks made so far, and
+the model tracks each environment's own history.  After every step,
+random terms (from :mod:`tests.termgen` plus typed terms over the user
+constants) must get the same ``infer`` result, ``nf`` and ``conv``
+verdicts in the environment the step changed, or the same error class,
+as in a cache-free reference: a fork of an environment used with every
+cache layer off, into which that environment's current user
+declarations are declared from scratch.  That goes through the checked
+``define``, so the reference also re-checks every declaration the warm
+side accepted.
 
-Rollback follows its contract: a rollback succeeds exactly when no
-``remove`` happened since the mark, and restores the declarations the
-mark saw; it also invalidates every newer mark, which the model then
-forgets.  A mark another environment took (a fork's base, a sibling,
-a fork of its own) is always refused.  A fork starts with its source's
-declarations and no marks, and after every step every environment
+A fork starts with its source's declarations and keeps nothing aside,
+and after every step every environment, and every fork kept aside,
 still holds exactly its own model's declarations, so a fork's
-``define``, ``remove`` or ``rollback`` never shows in its base or its
-siblings.  Generated bodies only mention user constants declared
-earlier, and ``remove`` only drops constants nothing else mentions, so
-no delta-unfolding can cycle.
+``define``, ``remove`` or ``rollback`` never shows in its source, its
+siblings or what they keep.  Generated bodies only mention user
+constants declared earlier, and ``remove`` only drops constants nothing
+else mentions, so no delta-unfolding can cycle.
 
 Every warm step runs with the caches switched on and every reference
 step with them off, so this suite means the same under
@@ -52,7 +52,7 @@ import pytest
 
 from repro.kernel.context import Context
 from repro.kernel.convert import conv
-from repro.kernel.env import ABSENT, EnvError
+from repro.kernel.env import ABSENT
 from repro.kernel.pretty import pretty
 from repro.kernel.reduce import nf
 from repro.kernel.stats import KERNEL_STATS, CacheCounter
@@ -242,18 +242,16 @@ class Source:
 
 
 class Model:
-    """The user declarations the warm environment should hold.
+    """The user declarations an environment should hold.
 
     ``decls`` lists ``(name, kind, body, type, refs)`` in declaration
-    order, with the warm-side terms; ``marks`` pairs each live
-    checkpoint with the declarations and destructive-change count it
-    saw.
+    order, with the warm-side terms; ``marks`` pairs each fork kept
+    aside with the declarations it holds.
     """
 
     def __init__(self):
         self.decls = []
         self.marks = []
-        self.destructive = 0
 
     def fork(self):
         """The model of a fork: the same declarations and no marks."""
@@ -280,13 +278,13 @@ class Reference:
 
     def __init__(self):
         with kernel_caches(False):
-            self.env = make_env(lists=False, vectors=False)
-            self.base = self.env.checkpoint()
-        assert self.env.reduction_cache.size == 0
+            self.base = make_env(lists=False, vectors=False)
+        self.env = self.base.fork()
+        assert self.base.reduction_cache.size == 0
 
     def sync(self, decls):
         with kernel_caches(False):
-            self.env.rollback(self.base)
+            self.env = self.base.fork()
             for name, _kind, body, ty, _refs in decls:
                 self.env.define(name, rebuild(body), rebuild(ty))
 
@@ -372,28 +370,28 @@ def define_checked(warm, model, ref, where, name, kind, body, ty, used):
 
 def run_step(rng, envs, index, ref, where):
     """One random mutation of ``envs[index]``; returns a label for
-    messages.  ``envs`` lists ``(environment, model)`` pairs; a fork
-    is appended to it."""
+    messages.  ``envs`` lists ``(environment, model)`` pairs; a rollback
+    or a replay replaces the pair's environment, and a fork is appended
+    to it."""
     warm, model = envs[index]
     op = rng.choices([o for o, _ in OPS], [w for _, w in OPS])[0]
     if op == "replay":
-        # Roll back to a mark that drops declarations, then declare them
-        # again in order, the same terms, or stop at one and give that
-        # name another body.
+        # Start again from a kept fork that lacks some of the
+        # declarations, then declare them again in order, the same
+        # terms, or stop at one and give that name another body.
         valid = [
             i
-            for i, (_, decls, destructive) in enumerate(model.marks)
-            if destructive == model.destructive
-            and len(decls) < len(model.decls)
+            for i, (_, decls) in enumerate(model.marks)
+            if len(decls) < len(model.decls)
+            and all(a is b for a, b in zip(decls, model.decls))
         ]
         if not valid:
             return "replay (none)"
-        index = rng.choice(valid)
-        mark, decls, _ = model.marks[index]
+        kept, decls = model.marks[rng.choice(valid)]
         dropped = model.decls[len(decls):]
-        assert warm.rollback(mark) == tuple(d[0] for d in dropped), where
+        warm = kept.fork()
+        envs[index] = (warm, model)
         model.decls = list(decls)
-        del model.marks[index + 1:]
         changed = rng.randrange(len(dropped) + 1)
         for name, kind, body, ty, used in dropped[:changed]:
             warm.define(name, body, ty)
@@ -442,43 +440,31 @@ def run_step(rng, envs, index, ref, where):
         name = rng.choice(unused)
         warm.remove(name)
         model.decls = [d for d in model.decls if d[0] != name]
-        model.destructive += 1
         return f"remove {name}"
     if op == "checkpoint":
-        model.marks.append(
-            (warm.checkpoint(), list(model.decls), model.destructive)
-        )
+        model.marks.append((warm.fork(), list(model.decls)))
         return "checkpoint"
     if op == "rollback":
+        # Now and then from a fork another environment kept aside.
         foreign = [
             mark
             for other, (_, other_model) in enumerate(envs)
             if other != index
-            for mark, _, _ in other_model.marks
+            for mark in other_model.marks
         ]
         if foreign and rng.random() < 0.25:
-            try:
-                warm.rollback(rng.choice(foreign))
-            except EnvError:
-                return "rollback to a foreign mark (refused)"
-            raise AssertionError(f"{where} rollback to a foreign mark accepted")
-        if not model.marks:
+            kept, decls = rng.choice(foreign)
+            label = "rollback to a foreign mark"
+        elif model.marks:
+            # Biased toward recent marks.
+            mark = max(rng.randrange(len(model.marks)) for _ in range(2))
+            kept, decls = model.marks[mark]
+            label = f"rollback {mark}"
+        else:
             return "rollback (none)"
-        # Biased toward recent marks, which are the likelier to be valid.
-        index = max(rng.randrange(len(model.marks)) for _ in range(2))
-        mark, decls, destructive = model.marks[index]
-        refuse = destructive != model.destructive
-        try:
-            warm.rollback(mark)
-        except EnvError:
-            assert refuse, f"{where} rollback to mark {index} refused"
-            # A remove since the mark spoils it for good.
-            del model.marks[index]
-            return f"rollback {index} (refused)"
-        assert not refuse, f"{where} rollback to mark {index} accepted"
+        envs[index] = (kept.fork(), model)
         model.decls = list(decls)
-        del model.marks[index + 1:]
-        return f"rollback {index}"
+        return label
     warm.reduction_cache.clear()
     return "clear"
 
@@ -506,6 +492,12 @@ def test_caches_agree_with_cache_free_reference(seed, reference):
                     f"{where} {label}: env {other}'s declarations drifted "
                     "from its model"
                 )
+                for mark, (kept, decls) in enumerate(model.marks):
+                    names = tuple(d[0] for d in decls)
+                    assert kept.declaration_order() == base + names, (
+                        f"{where} {label}: env {other}'s mark {mark} "
+                        "drifted from its model"
+                    )
             warm, model = envs[index]
             probes = probe_terms(rng, warm, model)
             n_pairs = min(len(probes), 6)
@@ -612,12 +604,13 @@ def probe_u(env):
 
 def test_a_name_declared_again_with_another_body_gets_fresh_verdicts():
     def case(env):
-        mark = env.checkpoint()
+        # One fork per declaration, each dropped before the next is
+        # made: a warm job's pattern.
         out = []
         for body in ("2", "3", "true"):
-            env.define("u", parse(env, body))
-            out.append(probe_u(env))
-            env.rollback(mark)
+            fork = env.fork()
+            fork.define("u", parse(fork, body))
+            out.append(probe_u(fork))
         return out
 
     assert against_reference(case) == [

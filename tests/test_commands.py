@@ -68,6 +68,24 @@ class TestRepairCommand:
         assert session.env.has_constant("P.rev")
         assert not session.env.has_constant("rev'")
 
+    def test_each_rename_starts_from_the_built_const_map(self, session):
+        # The module repair maps ``app``, ``rev`` and the rest to their
+        # ``P.`` names in its session; a later command with the prime
+        # rename must repair them again under its own names, as a fresh
+        # session does, not build its result over the ``P.`` constants.
+        session.execute("Repair module list New.list prefix P")
+        warm = session.execute("Repair list New.list in rev_app_distr as R")
+        env = make_env(lists=True, vectors=False)
+        declare_list_type(env, "New.list", swapped=True)
+        fresh = CommandSession(env).execute(
+            "Repair list New.list in rev_app_distr as R"
+        )
+        assert _repaired(warm) == _repaired(fresh)
+        body = session.env.constant("R").body
+        assert mentions_global(body, "app'")
+        assert not mentions_global(body, "P.app")
+        assert warm.config is session._configs[("list", "New.list")]
+
     def test_configure_replaces_the_pairs_sessions(self):
         # ``eval`` repairs differently under this mapping than under the
         # one ``Repair`` finds: a session kept from before ``Configure``

@@ -98,7 +98,7 @@ class TestEnvironment:
 
         assert nf(env, Const("sealed")) == Const("sealed")
 
-    def test_checkpoint_rollback_restores_declarations_and_cache(
+    def test_a_fork_lacks_later_declarations_until_made_again(
         self, kernel_caches_on
     ):
         from repro.kernel import KERNEL_STATS, nf, typecheck_closed
@@ -108,60 +108,36 @@ class TestEnvironment:
         declare_nat(env)
         nf(env, parse(env, "S (S O)"))  # populate the reduction cache
         order = env.declaration_order()
-        mark = env.checkpoint()
-        env.define("two", parse(env, "2"))
-        env.define("four", parse(env, "4"))
+        kept = env.fork()
+        two = env.define("two", parse(env, "2"))
+        four = env.define("four", parse(env, "4"))
         probe = parse(env, "S four")
         five = nf(env, probe)  # verdicts mentioning 'four'
         typecheck_closed(env, probe)
-        added = env.rollback(mark)
-        assert added == ("two", "four")
-        assert not env.has_constant("two")
-        assert not env.has_constant("four")
-        assert env.declaration_order() == order
-        # What was derived over 'four' went with it: the probe fails the
-        # way it fails in an environment that never cached anything.
+        assert not kept.has_constant("two")
+        assert not kept.has_constant("four")
+        assert kept.declaration_order() == order
+        # What was derived over 'four' stays out of the fork: the probe
+        # fails the way it fails in an environment that never cached
+        # anything.
         with pytest.raises(EnvError):
-            nf(env, probe)
+            nf(kept, probe)
         with pytest.raises(EnvError):
-            typecheck_closed(env, probe)
-        # The environment is reusable, and declaring the same again
-        # reaches the same declaration state: both verdicts are hits.
-        env.define("two", parse(env, "2"))
-        env.define("four", parse(env, "4"))
+            typecheck_closed(kept, probe)
+        # Declaring the same objects in the fork reaches the same
+        # declaration state: both verdicts are hits.
+        kept.define("two", two.body, two.type)
+        kept.define("four", four.body, four.type)
         misses = {
             name: KERNEL_STATS.counter(name).misses for name in ("nf", "infer")
         }
-        assert nf(env, probe) is five
-        typecheck_closed(env, probe)
+        assert nf(kept, probe) is five
+        typecheck_closed(kept, probe)
         assert misses == {
             name: KERNEL_STATS.counter(name).misses for name in ("nf", "infer")
         }
 
-    def test_rollback_refused_after_remove(self):
-        env = Environment()
-        declare_prelude(env)
-        declare_nat(env)
-        env.define("two", parse(env, "2"))
-        mark = env.checkpoint()
-        env.remove("two")
-        with pytest.raises(EnvError):
-            env.rollback(mark)
-
-    def test_rollback_refused_when_checkpoint_is_ahead(self):
-        env = Environment()
-        declare_prelude(env)
-        declare_nat(env)
-        early = env.checkpoint()
-        env.define("two", parse(env, "2"))
-        mark = env.checkpoint()
-        env.rollback(early)
-        with pytest.raises(EnvError, match="ahead"):
-            env.rollback(mark)
-
-    def test_rollback_refuses_a_checkpoint_another_environment_took(self):
-        # Two environments with the same history: depth, stamps and
-        # removes all agree, so only the mark's owner tells them apart.
+    def test_one_name_declared_differently_shares_no_verdict(self):
         e1 = make_env(lists=False, vectors=False)
         e2 = make_env(lists=False, vectors=False)
         e1.define("foo", parse(e1, "O"))
@@ -171,46 +147,12 @@ class TestEnvironment:
             parse(e1, "eq_refl nat O"),
             parse(e1, "eq nat foo O"),
         )
-        e1_mark = e1.checkpoint()
         e2.define("foo", parse(e2, "S O"))
-        with pytest.raises(EnvError, match="another environment"):
-            e2.rollback(e1_mark)
         # e1's cached verdict on ``foo`` must not reach e2's checker.
         with pytest.raises(TypeError_):
             e2.define(
                 "bogus", parse(e2, "eq_refl nat O"), parse(e2, "eq nat foo O")
             )
-
-    def test_rollback_refuses_marks_taken_after_its_target(self):
-        env = Environment()
-        declare_prelude(env)
-        declare_nat(env)
-        a = env.checkpoint()
-        env.define("x1", parse(env, "1"))
-        b = env.checkpoint()
-        assert env.rollback(a) == ("x1",)
-        env.define("y1", parse(env, "1"))
-        # b saw x1, which the rollback to a dropped; y1 now sits at
-        # b's depth, so only the stamps tell the two apart.
-        with pytest.raises(EnvError):
-            env.rollback(b)
-        assert env.has_constant("y1")
-        assert not env.has_constant("x1")
-        # The target itself stays valid, as often as it is used.
-        assert env.rollback(a) == ("y1",)
-        env.define("z1", parse(env, "1"))
-        assert env.rollback(a) == ("z1",)
-
-    def test_one_mark_per_job_rolls_back_every_time(self):
-        env = Environment()
-        declare_prelude(env)
-        declare_nat(env)
-        order = env.declaration_order()
-        for job in range(3):
-            mark = env.checkpoint()
-            env.define(f"job{job}", parse(env, str(job)))
-            assert env.rollback(mark) == (f"job{job}",)
-        assert env.declaration_order() == order
 
 
 class TestFork:
@@ -232,7 +174,6 @@ class TestFork:
     def test_remove_in_a_fork_leaves_the_base_intact(self):
         base = self._base()
         order = base.declaration_order()
-        mark = base.checkpoint()
         fork = base.fork()
         fork.remove("two")
         fork.define("three", parse(fork, "3"))
@@ -240,7 +181,21 @@ class TestFork:
         assert base.declaration_order() == order
         assert base.has_constant("two")
         assert not base.has_constant("three")
-        assert base.rollback(mark) == ()
+
+    def test_declaration_refs_follow_each_environments_declarations(self):
+        # The memo is keyed by the declaration state: a fork starts on
+        # its source's, and every declaration or remove leaves it.
+        base = self._base()
+        refs = base.declaration_refs()
+        assert base.declaration_refs() is refs
+        fork = base.fork()
+        assert fork.declaration_refs() is refs
+        fork.define("four", parse(fork, "S (S two)"))
+        assert "two" in fork.declaration_refs()["four"]
+        assert "four" not in base.declaration_refs()
+        fork.remove("four")
+        assert "four" not in fork.declaration_refs()
+        assert fork.declaration_refs() == refs
 
 
 class TestContext:

@@ -24,6 +24,7 @@ from repro.core.config import ConfigError
 from repro.core.repair import RepairSession
 from repro.core.search import configure
 from repro.kernel.inductive import ConstructorDecl, InductiveDecl
+from repro.kernel.stats import stats_mark
 from repro.kernel.term import Const, Constr, Sort
 from repro.service import worker
 from repro.service.job import fingerprint_source, result_digest
@@ -497,10 +498,10 @@ class TestResidentConfiguration:
     ):
         # One configuration, three namings.  A transform store kept
         # across a naming switch hands the next job entries that map
-        # ``app`` to another name (``New.app`` after the rollback dropped
-        # it) or leave it unmapped (the ``skip`` job fails to check); a
-        # report store kept across it would hand back a script that
-        # names the other naming's constants.
+        # ``app`` to another name (``New.app``, which the next job's
+        # fork lacks) or leave it unmapped (the ``skip`` job fails to
+        # check); a report store kept across it would hand back a
+        # script that names the other naming's constants.
         base = _quickstart_job().payload()
         namings = {
             "base": base,
@@ -545,10 +546,10 @@ class TestResidentConfiguration:
         assert len(stores) == 1
 
     def test_a_job_declares_only_its_repairs(self, monkeypatch):
-        # Every transformed term is the type or body of a declaration at
-        # the post-build mark: a matcher or B-side builder that declared
-        # during a transform would make the store's entries depend on
-        # the job that filled it.
+        # Every transformed term is the type or body of a declaration of
+        # the post-build environment: a matcher or B-side builder that
+        # declared during a transform would make the store's entries
+        # depend on the job that filled it.
         declared = []
         build = worker.build_record
 
@@ -567,8 +568,28 @@ class TestResidentConfiguration:
             payload = job.payload()
             assert execute_warm(residents, payload)["status"] == "ok"
             order, new_names = declared.pop()
-            mark = residents[payload["setup"]].config.mark
-            assert list(order[mark.depth:]) == new_names, job.name
+            built = residents[payload["setup"]].config.env.declaration_order()
+            assert order[: len(built)] == built, job.name
+            assert list(order[len(built):]) == new_names, job.name
+
+    def test_a_failed_job_leaves_the_resident_intact(self):
+        # The clashing job declares the repaired dependencies of
+        # ``rev_app_distr`` in its fork, then fails to define its result
+        # over the existing ``app``.  Nothing it declared may reach the
+        # post-build environment or the next job.
+        payload = _quickstart_job().payload()
+        fresh = _fresh_digest(payload)
+        residents = {}
+        execute_warm(residents, payload)
+        built = residents[QUICKSTART_SETUP].config.env
+        order = built.declaration_order()
+        clash = dict(payload, new_name="app")
+        assert _outcome(residents, clash) == "EnvError: duplicate global 'app'"
+        assert residents[QUICKSTART_SETUP].config.env is built
+        assert built.declaration_order() == order
+        record = execute_warm(residents, payload)
+        assert record["env_boot"] == "warm"
+        assert result_digest(record) == fresh
 
 
 class TestReportStore:
@@ -588,7 +609,7 @@ class TestReportStore:
 
         def report(store):
             record = worker.build_record(
-                env, session, result, worker._stats_snapshot(), 0.0,
+                env, session, result, stats_mark(), 0.0,
                 reports=store,
             )
             return record["script"], record["analysis"]
